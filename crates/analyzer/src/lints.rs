@@ -64,7 +64,7 @@ const SNAPSHOT_FNS: [&str; 4] = [
 ];
 
 /// Type-name suffixes [`MUST_USE`] requires `#[must_use]` on.
-const MUST_USE_SUFFIXES: [&str; 3] = ["Snapshot", "Guard", "PlannedQuery"];
+const MUST_USE_SUFFIXES: [&str; 4] = ["Snapshot", "Guard", "PlannedQuery", "QueryResponse"];
 
 /// How a finding affects the `--check` exit code: errors always fail,
 /// warnings fail only under `--strict-hatches`.
@@ -1837,10 +1837,12 @@ mod tests {
             #[derive(Clone)]
             #[must_use]
             pub struct BazPlannedQuery;
+            pub struct QuxQueryResponse;
             pub struct Unrelated;
         "#;
         let f = scan("crates/x/src/lib.rs", src);
-        assert_eq!(f.iter().filter(|f| f.lint == MUST_USE).count(), 1);
+        assert_eq!(f.iter().filter(|f| f.lint == MUST_USE).count(), 2);
         assert!(f[0].message.contains("FooSnapshot"));
+        assert!(f[1].message.contains("QuxQueryResponse"));
     }
 }

@@ -71,8 +71,9 @@ fn plan_execute_shared_snapshot_is_clean() {
             let s2 = Arc::clone(&store);
             let writer = spawn(move || writer_bumps(&s2));
             // FIXED: one snapshot read pins both plan and execution
-            // (`query_with_plan` clones the graph Arc once and derives
-            // everything from it), so the pair can never straddle a bump.
+            // (`execute` clones the graph Arc once and the shared query
+            // skeleton derives plan and rows from it), so the pair can
+            // never straddle a bump.
             let (plan_epoch, exec_data) = {
                 let snap = *store.read();
                 (snap.0, snap.1)
@@ -131,7 +132,7 @@ fn cache_miss_stampede_is_caught() {
 fn cache_miss_pending_slot_dedups_cleanly() {
     let report = Explorer::new(2)
         .check(|| {
-            // `ResultCache::get_or_compute` in miniature: the pending
+            // `ResultCache::get_or_try_compute` in miniature: the pending
             // map collapses to a single shared slot because the model
             // has one key.
             let pending: Arc<Mutex<Option<Arc<OnceLock<u64>>>>> = Arc::new(Mutex::new(None));
@@ -176,7 +177,7 @@ fn cache_miss_pending_slot_dedups_cleanly() {
 // epoch and purges the cache; a reader that computed on the old graph
 // must not publish AFTER the purge, or the stale entry survives
 // forever. The fix re-checks the epoch under the cache lock before
-// publishing (`still_valid` in `ResultCache::get_or_compute`).
+// publishing (`still_valid` in `ResultCache::get_or_try_compute`).
 // ---------------------------------------------------------------------
 
 struct FacadeModel {

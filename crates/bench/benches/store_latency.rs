@@ -20,8 +20,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use wdsparql_rdf::term::var;
-use wdsparql_rdf::{tp, Iri, Triple};
-use wdsparql_store::ShardedStore;
+use wdsparql_rdf::{tp, Iri, QueryBudget, Triple, TriplePattern};
+use wdsparql_store::{QueryRequest, ShardedStore};
 use wdsparql_workloads::triple_stream;
 
 const NODES: usize = 4_000;
@@ -150,10 +150,12 @@ fn bench_latency_under_churn(c: &mut Criterion) {
         tp(var("y"), Iri::new("p0"), var("z")),
         tp(var("x"), Iri::new("p0"), var("z")),
     ];
-    assert!(!store.solutions(&point).is_empty(), "point probe is empty");
+    assert!(!store.query(&[point]).is_empty(), "point probe is empty");
     assert!(!store.query(&star).is_empty(), "star probe is empty");
-    let planned = store.query_with_plan(&triangle);
-    assert!(!planned.solutions.is_empty(), "no triangles in workload");
+    let planned = store
+        .execute(&QueryRequest::new(&triangle, &QueryBudget::unlimited()))
+        .expect("an unlimited budget never fails a checkpoint");
+    assert!(!planned.rows.is_empty(), "no triangles in workload");
     assert_eq!(
         planned.strategy,
         wdsparql_store::JoinStrategy::Wco,
@@ -173,7 +175,7 @@ fn bench_latency_under_churn(c: &mut Criterion) {
             // relaxed-ok: bench-local rotation counter
             let i = probe.fetch_add(1, Ordering::Relaxed) % triangles;
             let pat = tp(Iri::new(&format!("t{i}a")), Iri::new("p0"), var("y"));
-            black_box(store.solutions(&pat).len())
+            black_box(store.query(&[pat]).len())
         })
     });
     group.bench_function("star_routed", |b| {
@@ -218,32 +220,25 @@ fn bench_streaming_limits(c: &mut Criterion) {
         tp(var("z"), p0, var("w")),
     ];
     // Correctness before timing: both shapes must stream a first row.
-    assert!(
-        !store.solutions_limit(&triangle, 1).is_empty(),
-        "no triangle to stream"
-    );
-    assert!(
-        !store.solutions_limit(&clique4, 1).is_empty(),
-        "no 4-clique to stream"
-    );
+    let limited = |pats: &[TriplePattern], k: usize| {
+        store
+            .query_limited(pats, k, &QueryBudget::unlimited())
+            .expect("an unlimited budget never fails a checkpoint")
+    };
+    assert!(!limited(&triangle, 1).is_empty(), "no triangle to stream");
+    assert!(!limited(&clique4, 1).is_empty(), "no 4-clique to stream");
 
     let mut group = c.benchmark_group("store_latency");
     group.sample_size(30);
     for (name, pats) in [("triangle", &triangle[..]), ("clique4", &clique4[..])] {
         group.bench_function(format!("{name}_ttfs"), |b| {
-            b.iter(|| black_box(store.solutions_limit(black_box(pats), 1).len()))
+            b.iter(|| black_box(limited(black_box(pats), 1).len()))
         });
         group.bench_function(format!("{name}_limit10"), |b| {
-            b.iter(|| black_box(store.solutions_limit(black_box(pats), 10).len()))
+            b.iter(|| black_box(limited(black_box(pats), 10).len()))
         });
         group.bench_function(format!("{name}_full_stream"), |b| {
-            b.iter(|| {
-                let budget = wdsparql_rdf::QueryBudget::unlimited();
-                let rows = store
-                    .query_limited(black_box(pats), usize::MAX, &budget)
-                    .expect("an unlimited budget never fails a checkpoint");
-                black_box(rows.len())
-            })
+            b.iter(|| black_box(limited(black_box(pats), usize::MAX).len()))
         });
     }
     group.finish();

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use wdsparql_rdf::term::var;
 use wdsparql_rdf::{tp, Iri, Mapping, TriplePattern};
 use wdsparql_store::{
-    eval_bgp_pairwise, eval_bgp_wco, resolve_strategy, JoinStrategy, ShardedStore, TripleStore,
+    eval_bgp_with_strategy, resolve_strategy, JoinStrategy, ShardedStore, TripleStore,
 };
 use wdsparql_workloads::triple_stream;
 
@@ -102,19 +102,31 @@ fn assert_strategies_and_backends_agree() {
     let snap = single.read_snapshot();
     let ssnap = sharded.snapshot();
     for (name, pats) in queries() {
-        let want = sorted(eval_bgp_pairwise(snap.graph(), &pats));
+        let want = sorted(eval_bgp_with_strategy(
+            snap.graph(),
+            &pats,
+            JoinStrategy::Pairwise,
+        ));
         assert_eq!(
-            sorted(eval_bgp_wco(snap.graph(), &pats)),
+            sorted(eval_bgp_with_strategy(
+                snap.graph(),
+                &pats,
+                JoinStrategy::Wco
+            )),
             want,
             "{name}: wco vs pairwise on TripleStore"
         );
         assert_eq!(
-            sorted(eval_bgp_pairwise(&ssnap, &pats)),
+            sorted(eval_bgp_with_strategy(
+                &ssnap,
+                &pats,
+                JoinStrategy::Pairwise
+            )),
             want,
             "{name}: pairwise on ShardedStore"
         );
         assert_eq!(
-            sorted(eval_bgp_wco(&ssnap, &pats)),
+            sorted(eval_bgp_with_strategy(&ssnap, &pats, JoinStrategy::Wco)),
             want,
             "{name}: wco on ShardedStore"
         );
@@ -150,13 +162,17 @@ fn bench_wcoj(c: &mut Criterion) {
     group.sample_size(10);
     for (name, pats) in queries() {
         group.bench_function(format!("{name}/pairwise"), |b| {
-            b.iter(|| eval_bgp_pairwise(snap.graph(), black_box(&pats)).len())
+            b.iter(|| {
+                eval_bgp_with_strategy(snap.graph(), black_box(&pats), JoinStrategy::Pairwise).len()
+            })
         });
         group.bench_function(format!("{name}/wco"), |b| {
-            b.iter(|| eval_bgp_wco(snap.graph(), black_box(&pats)).len())
+            b.iter(|| {
+                eval_bgp_with_strategy(snap.graph(), black_box(&pats), JoinStrategy::Wco).len()
+            })
         });
         group.bench_function(format!("{name}/wco_sharded{SHARDS}"), |b| {
-            b.iter(|| eval_bgp_wco(&ssnap, black_box(&pats)).len())
+            b.iter(|| eval_bgp_with_strategy(&ssnap, black_box(&pats), JoinStrategy::Wco).len())
         });
     }
     group.finish();

@@ -921,7 +921,7 @@ fn e18_wcoj() {
     use wdsparql_rdf::term::var;
     use wdsparql_rdf::{tp, Iri, TriplePattern};
     use wdsparql_store::{
-        bgp_is_cyclic, eval_bgp_pairwise, eval_bgp_wco, resolve_strategy, JoinStrategy, TripleStore,
+        bgp_is_cyclic, eval_bgp_with_strategy, resolve_strategy, JoinStrategy, TripleStore,
     };
     let (nodes, draws) = (scale(3_000, 200), scale(40_000, 1_500));
     let store = TripleStore::from_triples(wl::triple_stream(nodes, draws, 2, 18));
@@ -965,15 +965,14 @@ fn e18_wcoj() {
             },
             "{name}: Auto must follow the core's shape"
         );
-        let mut want = eval_bgp_pairwise(snap.graph(), &pats);
+        let run = |strategy| eval_bgp_with_strategy(snap.graph(), &pats, strategy);
+        let mut want = run(JoinStrategy::Pairwise);
         want.sort();
-        let mut got = eval_bgp_wco(snap.graph(), &pats);
+        let mut got = run(JoinStrategy::Wco);
         got.sort();
         assert_eq!(got, want, "{name}: strategies must agree");
-        let d_pair = time_median(budget_ms(400), || {
-            eval_bgp_pairwise(snap.graph(), &pats).len()
-        });
-        let d_wco = time_median(budget_ms(400), || eval_bgp_wco(snap.graph(), &pats).len());
+        let d_pair = time_median(budget_ms(400), || run(JoinStrategy::Pairwise).len());
+        let d_wco = time_median(budget_ms(400), || run(JoinStrategy::Wco).len());
         t.row(&[
             &name,
             &cyclic,

@@ -45,7 +45,8 @@ use std::process::ExitCode;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
 use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
-use wdsparql_rdf::{parse_ntriples, Mapping};
+use wdsparql_rdf::{parse_ntriples, ExecError, Mapping, QueryBudget};
+use wdsparql_store::{CacheStats, QueryRequest, QueryResponse};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -182,18 +183,18 @@ fn run(args: &[String]) -> Result<(), String> {
 /// store — one [`wdsparql_store::TripleStore`] by default, a
 /// hash-by-subject [`wdsparql_store::ShardedStore`] under `--shards N` —
 /// report the ingest lifecycle, and run an optional query through the
-/// store-backed engine and the service's planned BGP path.
+/// store-backed engine and the service's `execute` BGP path.
 /// `--max-triples N` caps ingest (per shard when sharded); the capacity
 /// guard surfaces as a clean error instead of a panic. `--join-strategy`
 /// picks how the service joins BGPs: `pairwise`, `wco` (the
 /// worst-case-optimal leapfrog join) or `auto` (the default: cyclic
-/// cores take the WCOJ). `--profile` runs the BGP through the profiled
-/// query path and prints the execution span tree (EXPLAIN ANALYZE
-/// style); `--metrics-json PATH` dumps the process-wide metrics
-/// registry as JSON after the run. `--limit K` and `--deadline-ms T`
-/// take the streaming service path instead: the evaluation stops after
-/// the first K solutions (LIMIT pushdown — later solutions are never
-/// computed), and a missed deadline surfaces as a clean
+/// cores take the WCOJ). `--profile` asks the service for an execution
+/// profile and prints its span tree (EXPLAIN ANALYZE style);
+/// `--metrics-json PATH` dumps the process-wide metrics registry as
+/// JSON after the run. `--limit K` and `--deadline-ms T` skip the
+/// engine and only stream the BGP through the service: the evaluation
+/// stops after the first K solutions (LIMIT pushdown — later solutions
+/// are never computed), and a missed deadline surfaces as a clean
 /// `query deadline exceeded` error rather than running to completion.
 /// `--dir PATH` makes the store durable: every ingest batch commits to
 /// disk (crash-safe tmp→fsync→rename protocol) before it is
@@ -204,9 +205,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
     let mut shards = 1usize;
     let mut max_triples: Option<usize> = None;
     let mut strategy = wdsparql_store::JoinStrategy::default();
-    let mut profile = false;
-    let mut limit: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
+    let mut opts = QueryOpts::default();
     let mut metrics_json: Option<String> = None;
     let mut dir: Option<String> = None;
     let mut open = false;
@@ -228,9 +227,9 @@ fn run_store(args: &[String]) -> Result<(), String> {
                     format!("--join-strategy: {value:?} is not pairwise, wco or auto")
                 })?;
             }
-            "--profile" => profile = true,
-            "--limit" => limit = Some(flag("--limit")?),
-            "--deadline-ms" => deadline_ms = Some(flag("--deadline-ms")? as u64),
+            "--profile" => opts.profile = true,
+            "--limit" => opts.limit = Some(flag("--limit")?),
+            "--deadline-ms" => opts.deadline_ms = Some(flag("--deadline-ms")? as u64),
             "--metrics-json" => {
                 metrics_json = Some(it.next().ok_or("--metrics-json needs a path")?.to_string());
             }
@@ -249,9 +248,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
         shards,
         max_triples,
         strategy,
-        profile,
-        limit,
-        deadline_ms,
+        &opts,
         dir.as_deref(),
         open,
         &positional,
@@ -264,14 +261,27 @@ fn run_store(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The query-side flags of `store`: `--limit`, `--deadline-ms` and
+/// `--profile`.
+#[derive(Default)]
+struct QueryOpts {
+    limit: Option<usize>,
+    deadline_ms: Option<u64>,
+    profile: bool,
+}
+
+impl QueryOpts {
+    /// `--limit`/`--deadline-ms` stream the BGP through the service only.
+    fn streamed(&self) -> bool {
+        self.limit.is_some() || self.deadline_ms.is_some()
+    }
+}
+
 fn store_command(
     shards: usize,
     max_triples: Option<usize>,
     strategy: wdsparql_store::JoinStrategy,
-    profile: bool,
-    limit: Option<usize>,
-    deadline_ms: Option<u64>,
+    opts: &QueryOpts,
     dir: Option<&str>,
     open: bool,
     positional: &[&String],
@@ -286,8 +296,7 @@ fn store_command(
             positional.get(1).copied(),
         )
     };
-    let streaming = limit.is_some() || deadline_ms.is_some();
-    if streaming && query_text.is_none() {
+    if opts.streamed() && query_text.is_none() {
         return Err("--limit/--deadline-ms need a query to run".into());
     }
     // On reopen the layout on disk decides single vs sharded: a
@@ -339,49 +348,17 @@ fn store_command(
         let Some(text) = query_text else {
             return Ok(());
         };
-        let query = Query::parse(text).map_err(|e| e.to_string())?;
-        if streaming {
-            let pats = bgp_patterns(query.pattern())
-                .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?;
-            let budget = budget_from(deadline_ms);
-            match limit {
-                Some(k) => {
-                    let rows = store
-                        .query_limited(&pats, k, &budget)
-                        .map_err(|e| e.to_string())?;
-                    print_streamed(&rows, Some(k));
-                }
-                None => {
-                    let rows = store
-                        .query_budgeted(&pats, &budget)
-                        .map_err(|e| e.to_string())?;
-                    print_streamed(&rows, None);
-                }
-            }
-            return Ok(());
-        }
-        let engine =
-            Engine::from_sharded_store(std::sync::Arc::clone(&store)).with_join_strategy(strategy);
-        print_solutions(&query, &engine.evaluate(&query));
-        if let Some(pats) = bgp_patterns(query.pattern()) {
-            let planned = if profile {
-                store.query_with_profile(&pats)
-            } else {
-                store.query_with_plan(&pats)
-            };
-            let again = store.query(&pats);
-            assert_eq!(planned.solutions.len(), again.len());
-            report_bgp_service(
-                &pats,
-                &planned.plan,
-                planned.strategy,
-                planned.solutions.len(),
-                &format!("epochs {:?}", planned.read),
-                store.cache_stats(),
-            );
-            print_profile(planned.profile.as_ref());
-        }
-        return Ok(());
+        return serve_query(
+            text,
+            opts,
+            || {
+                Engine::from_sharded_store(std::sync::Arc::clone(&store))
+                    .with_join_strategy(strategy)
+            },
+            |req| store.execute(req),
+            || store.cache_stats(),
+            |read| format!("epochs {read:?}"),
+        );
     }
     let store = if open {
         let d = dir.expect("--open was checked to carry --dir");
@@ -412,47 +389,66 @@ fn store_command(
     let Some(text) = query_text else {
         return Ok(());
     };
+    serve_query(
+        text,
+        opts,
+        || Engine::from_store(std::sync::Arc::clone(&store)).with_join_strategy(strategy),
+        |req| store.execute(req),
+        || store.cache_stats(),
+        |read| format!("epoch {}", read[0].1),
+    )
+}
+
+/// The query half of `store`, shared by both facades. Under
+/// `--limit`/`--deadline-ms` the BGP only streams through the service;
+/// otherwise the query runs through the store-backed engine, and an
+/// AND-only query additionally through the service's cached BGP path —
+/// plan and solutions from one snapshot; a second run shows the cache.
+/// `provenance` renders the response's read set (`epoch N` for the
+/// single store, the `(shard, epoch)` read vector for the sharded
+/// facade).
+fn serve_query(
+    text: &str,
+    opts: &QueryOpts,
+    engine: impl FnOnce() -> Engine,
+    execute: impl Fn(&QueryRequest<'_>) -> Result<QueryResponse, ExecError>,
+    cache_stats: impl FnOnce() -> CacheStats,
+    provenance: impl FnOnce(&[(usize, u64)]) -> String,
+) -> Result<(), String> {
     let query = Query::parse(text).map_err(|e| e.to_string())?;
-    if streaming {
+    if opts.streamed() {
         let pats = bgp_patterns(query.pattern())
             .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?;
-        let budget = budget_from(deadline_ms);
-        match limit {
-            Some(k) => {
-                let rows = store
-                    .query_limited(&pats, k, &budget)
-                    .map_err(|e| e.to_string())?;
-                print_streamed(&rows, Some(k));
-            }
-            None => {
-                let rows = store
-                    .query_budgeted(&pats, &budget)
-                    .map_err(|e| e.to_string())?;
-                print_streamed(&rows, None);
-            }
-        }
+        let budget = budget_from(opts.deadline_ms);
+        let req = QueryRequest {
+            limit: opts.limit,
+            ..QueryRequest::new(&pats, &budget)
+        };
+        let rows = execute(&req).map_err(|e| e.to_string())?.rows;
+        print_streamed(&rows, opts.limit);
         return Ok(());
     }
-    let engine = Engine::from_store(std::sync::Arc::clone(&store)).with_join_strategy(strategy);
-    print_solutions(&query, &engine.evaluate(&query));
-    // AND-only queries additionally go through the service's planned,
-    // cached BGP path — plan and solutions from one snapshot; a second
-    // run shows the cache.
+    print_solutions(&query, &engine().evaluate(&query));
     if let Some(pats) = bgp_patterns(query.pattern()) {
-        let planned = if profile {
-            store.query_with_profile(&pats)
-        } else {
-            store.query_with_plan(&pats)
+        let budget = QueryBudget::unlimited();
+        let complete = QueryRequest::new(&pats, &budget);
+        let planned = QueryRequest {
+            profile: opts.profile,
+            ..complete
         };
-        let again = store.query(&pats);
-        assert_eq!(planned.solutions.len(), again.len());
-        report_bgp_service(
-            &pats,
-            &planned.plan,
-            planned.strategy,
-            planned.solutions.len(),
-            &format!("epoch {}", planned.epoch),
-            store.cache_stats(),
+        let planned = execute(&planned).map_err(|e| e.to_string())?;
+        let again = execute(&complete).map_err(|e| e.to_string())?;
+        assert_eq!(planned.rows.len(), again.rows.len());
+        let plan: Vec<String> = planned.plan.iter().map(|&i| pats[i].to_string()).collect();
+        println!("service plan (most selective first): {}", plan.join(" ⋈ "));
+        println!("service join strategy: {}", planned.strategy);
+        let cs = cache_stats();
+        println!(
+            "service BGP path: {} solution(s) at {}; cache {} hit(s) / {} miss(es)",
+            planned.rows.len(),
+            provenance(&planned.read),
+            cs.hits,
+            cs.misses
         );
         print_profile(planned.profile.as_ref());
     }
@@ -460,14 +456,14 @@ fn store_command(
 }
 
 /// The query budget implied by `--deadline-ms` (unlimited without it).
-fn budget_from(deadline_ms: Option<u64>) -> wdsparql_rdf::QueryBudget {
+fn budget_from(deadline_ms: Option<u64>) -> QueryBudget {
     match deadline_ms {
-        Some(ms) => wdsparql_rdf::QueryBudget::with_deadline(std::time::Duration::from_millis(ms)),
-        None => wdsparql_rdf::QueryBudget::unlimited(),
+        Some(ms) => QueryBudget::with_deadline(std::time::Duration::from_millis(ms)),
+        None => QueryBudget::unlimited(),
     }
 }
 
-/// Prints the solutions of the streaming (`--limit`/`--deadline-ms`)
+/// Prints the solutions of the streamed (`--limit`/`--deadline-ms`)
 /// service path: every row under a limit (the user asked for exactly
 /// these), the first 10 otherwise.
 fn print_streamed(rows: &[Mapping], limit: Option<usize>) {
@@ -502,27 +498,6 @@ fn report_ingest_lifecycle(staged_deltas: usize, staged_segments: usize, compact
     println!(
         "(ingest staged {staged_deltas} delta row(s) in {staged_segments} segment(s); \
          {compactions} compaction(s) total)"
-    );
-}
-
-/// The shared tail of both `store` flavours: the executed plan and the
-/// cached-service summary, with the epoch provenance rendered by the
-/// caller (`epoch N` for the single store, the `(shard, epoch)` read
-/// vector for the sharded facade).
-fn report_bgp_service(
-    pats: &[wdsparql_rdf::TriplePattern],
-    plan: &[usize],
-    strategy: wdsparql_store::JoinStrategy,
-    solutions: usize,
-    provenance: &str,
-    cs: wdsparql_store::CacheStats,
-) {
-    let plan: Vec<String> = plan.iter().map(|&i| pats[i].to_string()).collect();
-    println!("service plan (most selective first): {}", plan.join(" ⋈ "));
-    println!("service join strategy: {strategy}");
-    println!(
-        "service BGP path: {solutions} solution(s) at {provenance}; cache {} hit(s) / {} miss(es)",
-        cs.hits, cs.misses
     );
 }
 
@@ -764,7 +739,7 @@ mod tests {
         let out_s = out.to_string_lossy().to_string();
         assert!(run(&s(&["store", "--metrics-json", &out_s, &p, triangle])).is_ok());
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"schema\": 3"), "{json}");
+        assert!(json.contains("\"schema\": 4"), "{json}");
         assert!(json.contains("\"store.queries_total\""), "{json}");
         assert!(json.contains("\"query.total_ns\""), "{json}");
         // Flag validation.

@@ -333,7 +333,7 @@ fn store_metrics_json_dumps_the_registry() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let json = std::fs::read_to_string(&out_path).expect("metrics file written");
     for key in [
-        "\"schema\": 3",
+        "\"schema\": 4",
         "\"store.queries_total\"",
         "\"store.triples\"",
         "\"query.total_ns\"",

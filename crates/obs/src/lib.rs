@@ -13,11 +13,11 @@
 //!   selection over the buckets;
 //! * [`registry`] — a fixed-catalog process-wide [`Registry`] of the
 //!   store stack's counters, gauges and latency histograms, rendered to
-//!   a stable-schema JSON snapshot (`schema: 1`, validated in CI
+//!   a stable-schema JSON snapshot (`schema: 4`, validated in CI
 //!   against `crates/obs/metrics-schema.json`);
 //! * [`profile`] — the per-query execution profile: a [`Span`] tree
-//!   ([`QueryProfile`]) that the store threads through
-//!   `PlannedQuery`/`ShardedPlannedQuery` and the CLI renders as an
+//!   ([`QueryProfile`]) that the store attaches to a profiled
+//!   `QueryResponse` and the CLI renders as an
 //!   EXPLAIN-ANALYZE-style tree under `store --profile`.
 //!
 //! [`json`] is the minimal JSON value parser backing the CI schema

@@ -4,7 +4,7 @@
 //!
 //! The catalog is a plain struct — registration is the field list, so
 //! the hot path is exactly one atomic RMW per event with no name
-//! lookup, no lock, and no allocation. `schema: 3` pins the JSON
+//! lookup, no lock, and no allocation. `schema: 4` pins the JSON
 //! layout; CI validates a live snapshot against
 //! `crates/obs/metrics-schema.json` (key presence + types), and adding
 //! a metric is a schema *addition*, never a mutation. (Schema 2 added
@@ -12,7 +12,8 @@
 //! `query.rows_streamed`, and the per-shard read-load sections
 //! `shard_read_rows` / `shard_read_ns`. Schema 3 added the durability
 //! metrics: `store.fsync_total`, `store.commit_retries_total`,
-//! `store.segments_quarantined_total` and `store.recovery_ns`.)
+//! `store.segments_quarantined_total` and `store.recovery_ns`. Schema 4
+//! added `store.cancelled_total`.)
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -26,7 +27,8 @@ pub const SHARD_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Registry {
     // Counters — monotone event tallies.
-    /// BGP queries planned+executed by the service layer.
+    /// BGP queries answered by the service layer (one per `execute`,
+    /// failed ones included).
     pub queries_total: Counter,
     /// Queries resolved to the worst-case-optimal strategy.
     pub queries_wco: Counter,
@@ -53,6 +55,8 @@ pub struct Registry {
     pub fanout_reads: Counter,
     /// Budgeted queries that failed their deadline checkpoint.
     pub deadline_exceeded: Counter,
+    /// Budgeted queries stopped by their cancellation token.
+    pub cancelled: Counter,
     /// `fsync`/`dir_sync` calls issued by the persistence layer.
     pub fsyncs: Counter,
     /// Transient-I/O retries spent by the persistence layer.
@@ -97,9 +101,9 @@ pub struct Registry {
     pub compact_ns: Histogram,
     /// Parallel shard fan-out read latency.
     pub fanout_ns: Histogram,
-    /// Rows streamed per completed budgeted/limited query (a row-count
-    /// histogram, not nanoseconds — LIMIT pushdown shows up as a low
-    /// p50 against a large full-enumeration max).
+    /// Rows returned per completed query (a row-count histogram, not
+    /// nanoseconds — LIMIT pushdown shows up as a low p50 against a
+    /// large full-enumeration max).
     pub rows_streamed: Histogram,
     /// Durable-store recovery latency (`TripleStore::open`: verify +
     /// rebuild + replay).
@@ -131,6 +135,7 @@ impl Registry {
                     "store.deadline_exceeded_total",
                     self.deadline_exceeded.get(),
                 ),
+                ("store.cancelled_total", self.cancelled.get()),
                 ("store.fsync_total", self.fsyncs.get()),
                 ("store.commit_retries_total", self.commit_retries.get()),
                 (
@@ -162,7 +167,7 @@ impl Registry {
         }
     }
 
-    /// The stable-schema JSON snapshot (`schema: 3`).
+    /// The stable-schema JSON snapshot (`schema: 4`).
     pub fn to_json(&self) -> String {
         self.capture().to_json()
     }
@@ -200,11 +205,11 @@ impl RegistrySnapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Renders the snapshot as the `schema: 3` JSON document: fixed
+    /// Renders the snapshot as the `schema: 4` JSON document: fixed
     /// member order, exact u64 integers, each histogram summarized as
     /// `count`/`sum`/`max`/`p50`/`p90`/`p99`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 3,\n  \"counters\": {\n");
+        let mut out = String::from("{\n  \"schema\": 4,\n  \"counters\": {\n");
         push_pairs(&mut out, &self.counters);
         out.push_str("  },\n  \"gauges\": {\n");
         push_pairs(&mut out, &self.gauges);

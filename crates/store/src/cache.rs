@@ -185,33 +185,20 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
     /// concurrent callers: the first miss installs an in-flight slot,
     /// later misses of the same key block on that slot instead of
     /// re-running `compute`. The leader publishes to the LRU only when
-    /// `still_valid` holds (the owner re-checks its epochs there), so a
-    /// result computed on a snapshot that has since been superseded is
-    /// returned to callers but never cached.
-    pub(crate) fn get_or_compute(
-        &self,
-        key: K,
-        still_valid: impl FnOnce() -> bool,
-        compute: impl FnOnce() -> Vec<Mapping>,
-    ) -> Arc<Vec<Mapping>> {
-        // analyzer-allow: no-unwrap-in-service an infallible computation
-        // wrapped in Ok can never surface a budget error.
-        self.get_or_try_compute(key, still_valid, || Ok(compute()))
-            .expect("an infallible computation cannot fail")
-    }
-
-    /// The fallible twin of [`ResultCache::get_or_compute`] — the entry
-    /// point for budgeted queries. A `compute` that fails its
-    /// [`wdsparql_rdf::QueryBudget`] stores the [`ExecError`] in the
-    /// in-flight slot, so every concurrent waiter of the doomed
-    /// computation receives the same typed error; **errors are never
-    /// inserted into the LRU** (cached entries only ever hold complete
-    /// result sets), so the next caller of the key recomputes under its
-    /// own budget.
+    /// `still_valid(&key)` holds (the owner re-checks its epochs there),
+    /// so a result computed on a snapshot that has since been superseded
+    /// is returned to callers but never cached.
+    ///
+    /// A `compute` that fails its [`wdsparql_rdf::QueryBudget`] stores
+    /// the [`ExecError`] in the in-flight slot, so every concurrent
+    /// waiter of the doomed computation receives the same typed error;
+    /// **errors are never inserted into the LRU** (cached entries only
+    /// ever hold complete result sets), so the next caller of the key
+    /// recomputes under its own budget.
     pub(crate) fn get_or_try_compute(
         &self,
         key: K,
-        still_valid: impl FnOnce() -> bool,
+        still_valid: impl FnOnce(&K) -> bool,
         compute: impl FnOnce() -> Result<Vec<Mapping>, ExecError>,
     ) -> Result<Arc<Vec<Mapping>>, ExecError> {
         if let Some(hit) = self.cache.lock().get(&key) {
@@ -276,7 +263,7 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
             // to a stale epoch — correct but unreachable, so only dead
             // weight. Errors never land in the LRU at all.
             if let Ok(complete) = &value {
-                if still_valid() && self.cache.lock().put(key.clone(), Arc::clone(complete)) {
+                if still_valid(&key) && self.cache.lock().put(key.clone(), Arc::clone(complete)) {
                     // relaxed-ok: statistics counter; eviction itself is
                     // ordered by the cache mutex.
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -300,6 +287,18 @@ mod tests {
 
     fn val(n: usize) -> Arc<Vec<Mapping>> {
         Arc::new(vec![Mapping::new(); n])
+    }
+
+    /// Serves or computes `key` with an infallible computation.
+    fn get_or_compute<K: Eq + Hash + Clone>(
+        cache: &ResultCache<K>,
+        key: K,
+        still_valid: bool,
+        compute: impl FnOnce() -> Vec<Mapping>,
+    ) -> Arc<Vec<Mapping>> {
+        cache
+            .get_or_try_compute(key, |_| still_valid, || Ok(compute()))
+            .expect("an infallible computation cannot fail")
     }
 
     /// The tick-ordered index evicts exactly what the old full-scan
@@ -353,11 +352,11 @@ mod tests {
     #[test]
     fn invalid_results_are_returned_but_not_cached() {
         let cache: ResultCache<&str> = ResultCache::new(8);
-        let out = cache.get_or_compute("k", || false, || vec![Mapping::new()]);
+        let out = get_or_compute(&cache, "k", false, || vec![Mapping::new()]);
         assert_eq!(out.len(), 1);
         assert_eq!(cache.stats().entries, 0, "stale result must not land");
         assert_eq!(cache.stats().misses, 1);
-        let again = cache.get_or_compute("k", || true, || vec![Mapping::new()]);
+        let again = get_or_compute(&cache, "k", true, || vec![Mapping::new()]);
         assert_eq!(again.len(), 1);
         assert_eq!(cache.stats().misses, 2, "recomputed, not served stale");
         assert_eq!(cache.stats().entries, 1);
@@ -377,18 +376,14 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
-                let value = cache.get_or_compute(
-                    "dedup-key".to_string(),
-                    || true,
-                    || {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        // Hold the slot long enough that every thread
-                        // passes its cache-miss check while the
-                        // computation is still in flight.
-                        std::thread::sleep(std::time::Duration::from_millis(200));
-                        vec![Mapping::new()]
-                    },
-                );
+                let value = get_or_compute(&cache, "dedup-key".to_string(), true, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    // Hold the slot long enough that every thread
+                    // passes its cache-miss check while the
+                    // computation is still in flight.
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    vec![Mapping::new()]
+                });
                 value.len()
             }));
         }
@@ -416,7 +411,7 @@ mod tests {
                 barrier.wait();
                 cache.get_or_try_compute(
                     "doomed".to_string(),
-                    || true,
+                    |_| true,
                     || {
                         // Hold the slot so every thread joins in flight.
                         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -438,7 +433,7 @@ mod tests {
         assert!(cache.pending_is_empty(), "slot unregistered after error");
         // The key is recomputable afterwards, under a fresh budget.
         let ok = cache
-            .get_or_try_compute("doomed".to_string(), || true, || Ok(vec![Mapping::new()]))
+            .get_or_try_compute("doomed".to_string(), |_| true, || Ok(vec![Mapping::new()]))
             .expect("fresh computation succeeds");
         assert_eq!(ok.len(), 1);
         assert_eq!(cache.stats().entries, 1, "complete results cache normally");
@@ -448,7 +443,7 @@ mod tests {
     fn capacity_evictions_are_counted() {
         let cache: ResultCache<u32> = ResultCache::new(2);
         for k in 0..4 {
-            cache.get_or_compute(k, || true, || vec![Mapping::new()]);
+            get_or_compute(&cache, k, true, || vec![Mapping::new()]);
         }
         let cs = cache.stats();
         assert_eq!(cs.misses, 4);
@@ -459,36 +454,5 @@ mod tests {
         cache.clear();
         assert_eq!(cache.stats().evictions, 2);
         assert_eq!(cache.stats().entries, 0);
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    #[test]
-    fn infallible_waiter_joining_doomed_budgeted_leader_panics() {
-        let cache: Arc<ResultCache<String>> = Arc::new(ResultCache::new(8));
-        let c2 = Arc::clone(&cache);
-        let leader = std::thread::spawn(move || {
-            let _ = c2.get_or_try_compute(
-                "k".to_string(),
-                || true,
-                || {
-                    std::thread::sleep(std::time::Duration::from_millis(200));
-                    Err(ExecError::DeadlineExceeded)
-                },
-            );
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // The infallible path joins the in-flight slot and receives the
-        // leader's Err -> expect() panics.
-        let waiter = std::thread::spawn(move || {
-            cache.get_or_compute("k".to_string(), || true, || vec![Mapping::new()])
-        });
-        leader.join().unwrap();
-        assert!(
-            waiter.join().is_err(),
-            "waiter should have panicked (bug repro)"
-        );
     }
 }

@@ -24,11 +24,25 @@
 //! cancellation interrupts the pipeline within one bound
 //! `match_pattern` scan.
 
-use crate::service::{plan_order, PairwiseStepStats};
 use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
 use wdsparql_rdf::{
     binding_of, ExecError, Mapping, QueryBudget, SolutionStream, Triple, TripleIndex, TriplePattern,
 };
+
+/// Per-step counters of one pairwise run, reported by a profiled
+/// [`PairwiseStream`]: one entry per plan position, in execution order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PairwiseStepStats {
+    /// Index of the pattern joined at this step (into the caller's
+    /// pattern list, i.e. a plan entry).
+    pub pattern: usize,
+    /// Index probes issued: 1 for the seed enumeration, one bound
+    /// `match_pattern` per left-hand row for a bind join.
+    pub scans: u64,
+    /// Intermediate result cardinality *after* this step (for the seed:
+    /// after the semi-join prune).
+    pub rows: u64,
+}
 
 /// One suspended bind-join level of a depth-first pairwise walk: the
 /// parent row, the pattern bound under it, and the cursor into its
@@ -102,9 +116,8 @@ impl<'a> PairwiseStream<'a> {
     }
 
     /// Per-step execution counters, one entry per plan position in
-    /// execution order (empty unless built `profiled`). Totals match
-    /// the materialised pipeline's once the stream is exhausted;
-    /// partial on an early stop.
+    /// execution order (empty unless built `profiled`). Complete once
+    /// the stream is exhausted; partial on an early stop.
     pub fn step_stats(&self) -> Vec<PairwiseStepStats> {
         self.stats.clone().unwrap_or_default()
     }
@@ -242,73 +255,48 @@ impl SolutionStream for PairwiseStream<'_> {
     }
 }
 
-/// Evaluates the conjunction of `patterns` in the given `order` with a
-/// sorted semi-join on the first shared variable and index-nested-loop
-/// (bind) joins for the rest. Does **not** re-plan: `order` is the
-/// plan. A thin collect() over [`PairwiseStream`] — the streamed and
-/// materialised row orders coincide (see the module docs).
-pub(crate) fn eval_bgp_planned(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    order: &[usize],
-) -> Vec<Mapping> {
-    let budget = QueryBudget::unlimited();
-    // analyzer-allow: no-unwrap-in-service an unlimited budget never
-    // fails a checkpoint, so the materialised collect always arrives.
-    PairwiseStream::new(ix, patterns, order.to_vec(), &budget, false)
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint")
+/// A BGP's solution stream under the strategy resolved for it — the
+/// pairwise pipeline or the leapfrog triejoin. Either way the counters
+/// of a `profiled` stream stay readable after draining
+/// ([`PairwiseStream::step_stats`], [`WcoStream::level_stats`]).
+pub enum BgpStream<'a> {
+    Pairwise(PairwiseStream<'a>),
+    Wco(WcoStream<'a>),
 }
 
-/// As [`eval_bgp_planned`], additionally reporting per-step counters —
-/// scan probes and intermediate cardinalities, one entry per plan
-/// position.
-pub(crate) fn eval_bgp_planned_profiled(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    order: &[usize],
-) -> (Vec<Mapping>, Vec<PairwiseStepStats>) {
-    let budget = QueryBudget::unlimited();
-    let mut stream = PairwiseStream::new(ix, patterns, order.to_vec(), &budget, true);
-    // analyzer-allow: no-unwrap-in-service an unlimited budget never
-    // fails a checkpoint, so the materialised collect always arrives.
-    let sols = stream
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint");
-    (sols, stream.step_stats())
+impl SolutionStream for BgpStream<'_> {
+    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
+        match self {
+            BgpStream::Pairwise(s) => s.next(),
+            BgpStream::Wco(s) => s.next(),
+        }
+    }
 }
 
-/// Opens the streaming evaluation of a BGP under `strategy` and
-/// `budget`: resolves [`JoinStrategy::Auto`] on this snapshot exactly
-/// as [`crate::wcoj::eval_bgp_with_strategy`] does, then returns the
-/// matching stream — [`WcoStream`] or [`PairwiseStream`]. The single
-/// entry point behind `query_budgeted` / `solutions_limit` on both
-/// stores and the CLI's `--limit`/`--deadline-ms`.
+/// Opens the streaming evaluation of a BGP with its pairwise `plan`
+/// already computed ([`crate::service::plan_order`]): resolves
+/// [`JoinStrategy::Auto`] against that plan (fixed strategies pass
+/// through), then returns the matching stream, counting per step or
+/// level when `profiled`. The only opener: both facades' `execute` and
+/// [`crate::wcoj::eval_bgp_with_strategy`] run through it.
 pub fn open_bgp_stream<'a>(
     ix: &'a dyn TripleIndex,
     patterns: &'a [TriplePattern],
     strategy: JoinStrategy,
+    plan: Vec<usize>,
     budget: &'a QueryBudget,
-) -> Box<dyn SolutionStream + 'a> {
-    match strategy {
-        JoinStrategy::Wco => Box::new(WcoStream::new(ix, patterns, budget, false)),
-        JoinStrategy::Pairwise => {
-            let order = plan_order(ix, patterns);
-            Box::new(PairwiseStream::new(ix, patterns, order, budget, false))
-        }
-        JoinStrategy::Auto => {
-            let order = plan_order(ix, patterns);
-            match resolve_with_order(ix, patterns, strategy, &order) {
-                JoinStrategy::Wco => Box::new(WcoStream::new(ix, patterns, budget, false)),
-                _ => Box::new(PairwiseStream::new(ix, patterns, order, budget, false)),
-            }
-        }
+    profiled: bool,
+) -> BgpStream<'a> {
+    match resolve_with_order(ix, patterns, strategy, &plan) {
+        JoinStrategy::Wco => BgpStream::Wco(WcoStream::new(ix, patterns, budget, profiled)),
+        _ => BgpStream::Pairwise(PairwiseStream::new(ix, patterns, plan, budget, profiled)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::plan_order;
     use std::time::Duration;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::{tp, Triple};
@@ -340,7 +328,7 @@ mod tests {
         let g = graph();
         let pats = chain();
         let order = plan_order(&g, &pats);
-        let want = eval_bgp_planned(&g, &pats, &order);
+        let want = crate::wcoj::eval_bgp_with_strategy(&g, &pats, JoinStrategy::Pairwise);
         assert!(!want.is_empty());
         let budget = QueryBudget::unlimited();
         let mut stream = PairwiseStream::new(&g, &pats, order.clone(), &budget, false);
@@ -416,7 +404,8 @@ mod tests {
             JoinStrategy::Wco,
             JoinStrategy::Auto,
         ] {
-            let mut stream = open_bgp_stream(&g, &triangle, strategy, &budget);
+            let plan = plan_order(&g, &triangle);
+            let mut stream = open_bgp_stream(&g, &triangle, strategy, plan, &budget, false);
             let got = stream.collect_limit(None).expect("unlimited");
             assert_eq!(sorted(got), want, "{strategy} stream diverged");
         }

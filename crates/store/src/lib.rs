@@ -35,9 +35,11 @@
 //!   copy-on-write under the write lock with epoch bumping, an LRU
 //!   result cache keyed by `(query, epoch)` deduplicates concurrent
 //!   misses in flight, and [`StoreStats`] selectivity statistics drive
-//!   most-selective-first, connectivity-aware BGP planning —
-//!   [`TripleStore::query_with_plan`] returns the executed plan from the
-//!   same snapshot as the answers, planned exactly once;
+//!   most-selective-first, connectivity-aware BGP planning. Every BGP
+//!   query enters through [`TripleStore::execute`]: a [`QueryRequest`]
+//!   (patterns, budget, optional LIMIT, optional profile) in, a
+//!   [`QueryResponse`] out — the rows with the executed plan from the
+//!   same snapshot, planned exactly once;
 //! * [`ShardedStore`] — write scaling: N hash-partitioned-by-subject
 //!   [`TripleStore`] shards behind one facade. Bulk loads scatter to
 //!   per-shard write locks (parallel on multi-core hosts, and a reader's
@@ -46,7 +48,9 @@
 //!   when the host and the run sizes warrant it) and concatenate the
 //!   disjoint per-shard runs lazily, and the facade's result cache is
 //!   keyed by the epoch vector of the shards each query read — so routed
-//!   results survive writes to other shards. [`ShardedSnapshot`]
+//!   results survive writes to other shards. [`ShardedStore::execute`]
+//!   answers through the same skeleton as the single store, on its
+//!   scatter-gather snapshot. [`ShardedSnapshot`]
 //!   implements [`wdsparql_rdf::TripleIndex`], so every evaluator runs
 //!   unchanged on the sharded layout;
 //! * [`wcoj`] — worst-case-optimal multiway joins: a leapfrog triejoin
@@ -82,17 +86,16 @@ pub mod wcoj;
 pub use cache::CacheStats;
 pub use dict::{Dictionary, TermId};
 pub use encoded::{CompactionPolicy, EncodedGraph};
-pub use join::{open_bgp_stream, PairwiseStream};
+pub use join::{open_bgp_stream, BgpStream, PairwiseStepStats, PairwiseStream};
 pub use obs::metrics_json;
 pub use persist::vfs::{Fault, FaultFs, FaultKind, RealFs, Vfs, VfsError};
 pub use persist::{PersistError, PersistOpts, Recovered, StoreDir};
 pub use segment::{CapacityError, MAX_TRIPLES};
 pub use service::{
-    eval_bgp_pairwise, PairwiseStepStats, PlannedQuery, StoreError, StoreSnapshot, StoreStats,
-    TripleStore,
+    QueryRequest, QueryResponse, StoreError, StoreSnapshot, StoreStats, TripleStore,
 };
-pub use shard::{ShardedPlannedQuery, ShardedSnapshot, ShardedStats, ShardedStore};
+pub use shard::{ShardedSnapshot, ShardedStats, ShardedStore};
 pub use wcoj::{
-    bgp_is_cyclic, eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_strategy,
-    wco_variable_order, JoinStrategy, WcoLevelStats, WcoStream,
+    bgp_is_cyclic, eval_bgp_with_strategy, resolve_strategy, wco_variable_order, JoinStrategy,
+    WcoLevelStats, WcoStream,
 };

@@ -9,7 +9,8 @@
 //! bound is measured (see `crates/obs/README.md`). Per-query execution
 //! profiles ([`QueryProfile`](wdsparql_obs::QueryProfile) span trees)
 //! are *not* routed through here — they are explicit opt-in values built
-//! by `query_with_profile` and carried on the planned-query results.
+//! when a [`QueryRequest`](crate::QueryRequest) asks for one and carried
+//! on its [`QueryResponse`](crate::QueryResponse).
 //!
 //! [`TripleStore`]: crate::TripleStore
 //! [`ShardedStore`]: crate::ShardedStore
@@ -30,7 +31,7 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// The `schema: 3` JSON snapshot of the registry — what the CLI's
+/// The `schema: 4` JSON snapshot of the registry — what the CLI's
 /// `--metrics-json PATH` writes and CI validates against
 /// `crates/obs/metrics-schema.json`.
 pub fn metrics_json() -> String {
@@ -133,6 +134,12 @@ pub(crate) fn on_deadline_exceeded() {
     registry().deadline_exceeded.inc();
 }
 
+/// A budgeted query was cancelled through its token.
+#[cfg(feature = "obs")]
+pub(crate) fn on_cancelled() {
+    registry().cancelled.inc();
+}
+
 /// The persistence layer issued an `fsync` or `dir_sync`.
 #[cfg(feature = "obs")]
 pub(crate) fn on_fsync() {
@@ -157,7 +164,7 @@ pub(crate) fn on_recovery(elapsed: Duration) {
     registry().recovery_ns.record(ns(elapsed));
 }
 
-/// A budgeted/limited query completed, streaming `rows` solutions.
+/// A query completed, returning `rows` solutions.
 #[cfg(feature = "obs")]
 pub(crate) fn on_rows_streamed(rows: u64) {
     registry().rows_streamed.record(rows);
@@ -220,6 +227,8 @@ pub(crate) fn on_shard_read(_shard: usize, _rows: u64, _elapsed: std::time::Dura
 #[cfg(not(feature = "obs"))]
 pub(crate) fn on_deadline_exceeded() {}
 #[cfg(not(feature = "obs"))]
+pub(crate) fn on_cancelled() {}
+#[cfg(not(feature = "obs"))]
 pub(crate) fn on_fsync() {}
 #[cfg(not(feature = "obs"))]
 pub(crate) fn on_commit_retry() {}
@@ -247,10 +256,11 @@ mod tests {
     #[test]
     fn metrics_json_is_schema_valid_from_a_cold_start() {
         let text = super::metrics_json();
-        assert!(text.contains("\"schema\": 3"));
+        assert!(text.contains("\"schema\": 4"));
         assert!(text.contains("\"cache.hits\""));
         assert!(text.contains("\"query.total_ns\""));
         assert!(text.contains("\"store.deadline_exceeded_total\""));
+        assert!(text.contains("\"store.cancelled_total\""));
         assert!(text.contains("\"query.rows_streamed\""));
         assert!(text.contains("\"shard_read_ns\""));
         assert!(text.contains("\"store.fsync_total\""));

@@ -10,29 +10,28 @@
 //! entries can never be served — with per-key in-flight deduplication so
 //! concurrent misses of the same query compute it once. A [`StoreStats`]
 //! snapshot's per-predicate cardinalities drive most-selective-first,
-//! connectivity-aware ordering of multi-pattern (BGP) queries, and
-//! [`TripleStore::query_with_plan`] threads one snapshot *and one plan*
-//! through planning and execution: the displayed plan is always the
-//! executed one, computed exactly once.
+//! connectivity-aware ordering of multi-pattern (BGP) queries.
 //!
-//! The BGP machinery ([`plan_order`], [`eval_bgp_planned`]) is generic
-//! over [`TripleIndex`], which is what lets the sharded facade
-//! ([`crate::ShardedStore`]) run the identical planner and join pipeline
-//! over its scatter-gather snapshot.
+//! Every BGP request — complete or LIMITed, budgeted, profiled or not —
+//! enters through [`TripleStore::execute`] (or
+//! [`crate::ShardedStore::execute`]), and both facades answer it through
+//! one skeleton, [`execute_bgp`], on their own snapshot: one snapshot
+//! *and one plan* thread through planning and execution, so the
+//! returned plan is always the executed one, computed exactly once.
+//! The skeleton works on any [`TripleIndex`] and any cache-key shape,
+//! which is what lets the sharded facade run the identical planner,
+//! cache discipline and join streams over its scatter-gather snapshot.
 
 use crate::cache::ResultCache;
 use crate::encoded::{CapacityError, EncodedGraph};
-use crate::join::open_bgp_stream;
-pub(crate) use crate::join::{eval_bgp_planned, eval_bgp_planned_profiled};
+use crate::join::{open_bgp_stream, BgpStream};
 use crate::persist::vfs::Vfs;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
-use crate::wcoj::{
-    eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_with_order, JoinStrategy,
-    WcoLevelStats,
-};
+use crate::wcoj::{resolve_with_order, JoinStrategy};
 use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -160,24 +159,59 @@ pub(crate) fn stats_of(graph: &EncodedGraph, epoch: u64) -> StoreStats {
     }
 }
 
-/// A BGP answered together with the plan that produced it — both derived
-/// from one graph snapshot, so they can never diverge.
+/// One BGP request — the only input [`TripleStore::execute`] and
+/// [`crate::ShardedStore::execute`] take. [`QueryRequest::new`] is a
+/// complete, unprofiled request; set `limit` or `profile` with struct
+/// update syntax.
+#[derive(Clone, Copy, Debug)]
+pub struct QueryRequest<'a> {
+    /// The BGP: the conjunction of these patterns.
+    pub patterns: &'a [TriplePattern],
+    /// Deadline and cancellation, checkpointed before the cache and at
+    /// every pull of the evaluation; a failure is a typed [`ExecError`].
+    pub budget: &'a QueryBudget,
+    /// LIMIT pushdown: stop after the first `limit` solutions, which are
+    /// exactly the first `limit` rows of the complete run (same plan,
+    /// same snapshot, same order). A limited request bypasses the
+    /// result cache both ways — a prefix is a partial result.
+    pub limit: Option<usize>,
+    /// Build an execution profile ([`QueryResponse::profile`]).
+    pub profile: bool,
+}
+
+impl<'a> QueryRequest<'a> {
+    /// A complete, unprofiled request for `patterns` under `budget`.
+    pub fn new(patterns: &'a [TriplePattern], budget: &'a QueryBudget) -> QueryRequest<'a> {
+        QueryRequest {
+            patterns,
+            budget,
+            limit: None,
+            profile: false,
+        }
+    }
+}
+
+/// The answer to a [`QueryRequest`] together with the plan that
+/// produced it — both derived from one snapshot, so they can never
+/// diverge.
 #[derive(Clone, Debug)]
-#[must_use = "a dropped PlannedQuery is a query that was planned and evaluated for nothing"]
-pub struct PlannedQuery {
+#[must_use = "a dropped QueryResponse is a query that was planned and evaluated for nothing"]
+pub struct QueryResponse {
+    /// The solution mappings (shared with the result cache when the
+    /// request was complete).
+    pub rows: Arc<Vec<Mapping>>,
     /// Pattern indexes in selectivity order (the pairwise evaluation
     /// order; the WCOJ consumes it only as a selectivity signal).
     pub plan: Vec<usize>,
-    /// The solution mappings.
-    pub solutions: Arc<Vec<Mapping>>,
-    /// The epoch of the snapshot both were computed on.
-    pub epoch: u64,
     /// The join strategy that actually ran (`Auto` already resolved to
     /// [`JoinStrategy::Pairwise`] or [`JoinStrategy::Wco`]).
     pub strategy: JoinStrategy,
-    /// The execution profile, on the
-    /// [`TripleStore::query_with_profile`] path only (`None` elsewhere —
-    /// nothing is collected unless profiling was requested).
+    /// The `(shard, epoch)` pairs the query read: `[(0, epoch)]` on a
+    /// [`TripleStore`]; on the sharded facade the routed shards, or
+    /// every shard for a fan-out — exactly the shards whose writes
+    /// invalidate this result.
+    pub read: Vec<(usize, u64)>,
+    /// The execution profile, when the request asked for one.
     pub profile: Option<QueryProfile>,
 }
 
@@ -230,9 +264,9 @@ impl std::ops::Deref for StoreSnapshot {
 }
 
 /// The one source of truth for BGP evaluation order, shared by
-/// [`TripleStore::plan`], [`TripleStore::query_with_plan`], the sharded
-/// facade and [`eval_bgp`] (what actually runs) so displayed and
-/// executed plans only ever come from one computation on one graph.
+/// [`TripleStore::plan`], [`execute_bgp`] (what both facades run) and
+/// [`crate::wcoj::eval_bgp_with_strategy`], so displayed and executed
+/// plans only ever come from one computation on one graph.
 ///
 /// Greedy: seed with the most selective pattern, then repeatedly take
 /// the most selective pattern sharing a variable with what is already
@@ -259,67 +293,23 @@ pub(crate) fn plan_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Ve
     order
 }
 
-/// Plans and evaluates a BGP in one call — the unplanned entry point
-/// ([`TripleStore::query`] on a cache miss). Callers that already hold
-/// the order (the `query_with_plan` path, which must return it anyway)
-/// use [`eval_bgp_planned`] directly so each planned query plans once.
-pub(crate) fn eval_bgp(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    let order = plan_order(ix, patterns);
-    eval_bgp_planned(ix, patterns, &order)
-}
-
-/// The pairwise pipeline as a public entry point (plan + semi-join +
-/// bind joins on one snapshot) — the baseline the WCOJ benches and
-/// equivalence tests compare [`crate::wcoj::eval_bgp_wco`] against.
-pub fn eval_bgp_pairwise(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    eval_bgp(ix, patterns)
-}
-
-/// Per-step counters of one pairwise run, reported by the profiled
-/// variant of the pipeline: one entry per plan position, in execution
-/// order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PairwiseStepStats {
-    /// Index of the pattern joined at this step (into the caller's
-    /// pattern list, i.e. a plan entry).
-    pub pattern: usize,
-    /// Index probes issued: 1 for the seed enumeration, one bound
-    /// `match_pattern` per left-hand row for a bind join.
-    pub scans: u64,
-    /// Intermediate result cardinality *after* this step (for the seed:
-    /// after the semi-join prune).
-    pub rows: u64,
-}
-
-/// Collision-free cache key: every term is rendered as its kind tag
-/// plus interned id (stable for the process lifetime of the cache).
-/// The `Display` form would not do — an IRI's spelling is arbitrary
-/// text, so two distinct pattern lists could print identically.
-pub(crate) fn bgp_cache_key(patterns: &[TriplePattern]) -> String {
-    strategy_cache_key(patterns, None)
-}
-
-/// [`bgp_cache_key`] prefixed with the *configured* [`JoinStrategy`]
-/// (when one shapes the computation): entries produced under different
-/// knob settings can never serve each other — even mid-flight across a
-/// concurrent [`TripleStore::set_join_strategy`], whose cache clear
-/// alone could not stop an in-flight compute from landing its result
-/// under a key the new strategy would then hit. Single-pattern lookups
-/// pass `None` — their results are strategy-independent.
-pub(crate) fn strategy_cache_key(
-    patterns: &[TriplePattern],
-    strategy: Option<JoinStrategy>,
-) -> String {
+/// Collision-free cache key: the configured [`JoinStrategy`], then every
+/// term rendered as its kind tag plus interned id (stable for the
+/// process lifetime of the cache). The `Display` form would not do — an
+/// IRI's spelling is arbitrary text, so two distinct pattern lists could
+/// print identically. The strategy prefix keeps entries produced under
+/// different knob settings from ever serving each other — even
+/// mid-flight across a concurrent [`TripleStore::set_join_strategy`],
+/// whose cache clear alone could not stop an in-flight compute from
+/// landing its result under a key the new strategy would then hit.
+pub(crate) fn cache_key(patterns: &[TriplePattern], strategy: JoinStrategy) -> String {
     use std::fmt::Write;
-    let mut key = String::new();
-    if let Some(strategy) = strategy {
-        let tag = match strategy {
-            JoinStrategy::Pairwise => 'p',
-            JoinStrategy::Wco => 'w',
-            JoinStrategy::Auto => 'a',
-        };
-        let _ = write!(key, "{tag}|"); // infallible: fmt::Write on String
-    }
+    let tag = match strategy {
+        JoinStrategy::Pairwise => 'p',
+        JoinStrategy::Wco => 'w',
+        JoinStrategy::Auto => 'a',
+    };
+    let mut key = format!("{tag}|");
     for pat in patterns {
         for term in pat.positions() {
             let (kind, id) = match term {
@@ -404,7 +394,7 @@ impl TripleStore {
 
     /// Sets how BGPs are joined. Correctness does not depend on this
     /// call's cache clear — BGP entries are keyed by the strategy that
-    /// computed them (see [`strategy_cache_key`]), so strategies can
+    /// computed them (see [`cache_key`]), so strategies can
     /// never serve each other's runs, in-flight computations included —
     /// the clear just frees result sets the old setting will no longer
     /// reach.
@@ -780,225 +770,176 @@ impl TripleStore {
     /// Evaluation order for a conjunctive (BGP) query: pattern indexes
     /// most-selective-first, computed on the current snapshot. For a
     /// plan guaranteed to match an execution, use
-    /// [`TripleStore::query_with_plan`] — between a bare `plan` and a
-    /// later `query`, a bulk load may land and change the snapshot.
+    /// [`TripleStore::execute`]'s [`QueryResponse::plan`] — between a
+    /// bare `plan` and a later query, a bulk load may land and change the
+    /// snapshot.
     pub fn plan(&self, patterns: &[TriplePattern]) -> Vec<usize> {
         plan_order(&*self.snapshot().0, patterns)
     }
 
-    /// Cached single-pattern solutions.
-    pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
+    /// Answers a BGP request — the store's one query entry point. The
+    /// conjunction of `req.patterns` (the AND-only fragment) is joined
+    /// under the configured [`JoinStrategy`]: the pairwise pipeline
+    /// (most-selective-first ordering, a sorted semi-join on the first
+    /// shared variable, bind joins for the rest), the worst-case-optimal
+    /// leapfrog join over the sorted permutations, or — under `Auto` —
+    /// whichever the core's shape calls for. Plan and rows come from one
+    /// snapshot, planned once; complete results are cached per epoch,
+    /// budget failures never are.
+    pub fn execute(&self, req: &QueryRequest<'_>) -> Result<QueryResponse, ExecError> {
         let (graph, epoch) = self.snapshot();
-        self.cached(epoch, bgp_cache_key(std::slice::from_ref(pat)), || {
-            graph.solutions(pat)
-        })
+        let strategy = self.join_strategy();
+        let entry = CacheEntry {
+            cache: &self.cache,
+            key: (cache_key(req.patterns, strategy), epoch),
+            is_current: |_: &CacheKey| self.inner.read().epoch == epoch,
+        };
+        execute_bgp(
+            &*graph,
+            strategy,
+            req,
+            entry,
+            vec![(0, epoch)],
+            |root, _| root.field("epoch", epoch),
+        )
     }
 
-    /// Evaluates the conjunction of `patterns` (a BGP: the AND-only
-    /// fragment) under the configured [`JoinStrategy`]: the pairwise
-    /// pipeline (most-selective-first ordering, a sorted semi-join on
-    /// the first shared variable, bind joins for the rest), the
-    /// worst-case-optimal leapfrog join over the sorted permutations, or
-    /// — under `Auto` — whichever the core's shape calls for. Results
-    /// are cached per epoch.
+    /// All solutions of a BGP under an unlimited budget: a complete,
+    /// cached [`TripleStore::execute`].
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
-        let (graph, epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        self.cached(epoch, strategy_cache_key(patterns, Some(strategy)), || {
-            eval_bgp_with_strategy(&*graph, patterns, strategy)
-        })
+        unlimited_rows(self.execute(&QueryRequest::new(patterns, &QueryBudget::unlimited())))
     }
 
-    /// As [`TripleStore::query`], but also returns the evaluation order —
-    /// plan and solutions computed on the *same* snapshot, taken once,
-    /// and the plan computed exactly once (execution receives the order
-    /// instead of re-deriving it). A bulk load landing between planning
-    /// and execution cannot make the displayed plan diverge from the
-    /// executed one (the epoch field names the snapshot both came from).
-    pub fn query_with_plan(&self, patterns: &[TriplePattern]) -> PlannedQuery {
-        self.query_with_plan_interleaved(patterns, || ())
-    }
-
-    /// [`TripleStore::query_with_plan`] with an injection point between
-    /// planning and execution — the regression hook for the epoch race
-    /// (tests interleave a `bulk_load` there and assert plan/solution
-    /// consistency).
-    fn query_with_plan_interleaved(
-        &self,
-        patterns: &[TriplePattern],
-        between: impl FnOnce(),
-    ) -> PlannedQuery {
-        let start = Instant::now();
-        let (graph, epoch) = self.snapshot();
-        let configured = self.join_strategy();
-        let plan_start = Instant::now();
-        let plan = plan_order(&*graph, patterns);
-        let strategy = resolve_with_order(&*graph, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        between();
-        let key = strategy_cache_key(patterns, Some(configured));
-        let solutions = self.cached(epoch, key, || match strategy {
-            JoinStrategy::Wco => eval_bgp_wco(&*graph, patterns),
-            _ => eval_bgp_planned(&*graph, patterns, &plan),
-        });
-        crate::obs::on_query(strategy == JoinStrategy::Wco, start.elapsed(), plan_elapsed);
-        PlannedQuery {
-            plan,
-            solutions,
-            epoch,
-            strategy,
-            profile: None,
-        }
-    }
-
-    /// As [`TripleStore::query_with_plan`], additionally building an
-    /// execution profile: a span tree with plan timing, the resolved
-    /// strategy, the cache outcome, and — when the evaluation actually
-    /// ran (a cache miss) — per-level WCOJ counters or per-step pairwise
-    /// intermediate cardinalities. A cache hit reports `cache=hit` and
-    /// no `execute` span: nothing was executed.
-    pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> PlannedQuery {
-        let start = Instant::now();
-        let (graph, epoch) = self.snapshot();
-        let configured = self.join_strategy();
-        let plan_start = Instant::now();
-        let plan = plan_order(&*graph, patterns);
-        let strategy = resolve_with_order(&*graph, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let key = strategy_cache_key(patterns, Some(configured));
-        let mut execute: Option<Span> = None;
-        let solutions = self.cached(epoch, key, || {
-            let exec_start = Instant::now();
-            let (sols, detail) = match strategy {
-                JoinStrategy::Wco => {
-                    let (sols, levels) = eval_bgp_wco_profiled(&*graph, patterns);
-                    (sols, wco_level_spans(&levels))
-                }
-                _ => {
-                    let (sols, steps) = eval_bgp_planned_profiled(&*graph, patterns, &plan);
-                    (sols, pairwise_step_spans(patterns, &steps))
-                }
-            };
-            let mut span = Span::new("execute").timed(exec_start.elapsed());
-            for child in detail {
-                span.push(child);
-            }
-            execute = Some(span);
-            sols
-        });
-        let total = start.elapsed();
-        crate::obs::on_query(strategy == JoinStrategy::Wco, total, plan_elapsed);
-        let computed_here = execute.is_some();
-        let mut root = Span::new("query")
-            .timed(total)
-            .field("strategy", strategy)
-            .field("epoch", epoch)
-            .field("patterns", patterns.len())
-            .field("rows", solutions.len())
-            .field("cache", if computed_here { "miss" } else { "hit" });
-        root.push(plan_span(&plan, plan_elapsed));
-        if let Some(span) = execute {
-            root.push(span);
-        }
-        PlannedQuery {
-            plan,
-            solutions,
-            epoch,
-            strategy,
-            profile: Some(QueryProfile::new(root)),
-        }
-    }
-
-    /// As [`TripleStore::query`], evaluated under `budget`: the
-    /// streaming evaluators checkpoint the deadline/cancellation token
-    /// at every pull and inside their inner loops, so a failed budget
-    /// surfaces as a typed [`ExecError`] within one seek/merge step
-    /// instead of running to completion. Complete results are cached
-    /// exactly like [`TripleStore::query`]'s (same key, so the two
-    /// paths serve each other); a budget failure is never cached — the
-    /// next caller recomputes under its own budget.
-    pub fn query_budgeted(
-        &self,
-        patterns: &[TriplePattern],
-        budget: &QueryBudget,
-    ) -> Result<Arc<Vec<Mapping>>, ExecError> {
-        // Checkpoint before even consulting the cache: an already-dead
-        // budget (zero deadline, tripped token) fails here, so the
-        // outcome does not depend on what happens to be cached.
-        budget.check()?;
-        let (graph, epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        let key = strategy_cache_key(patterns, Some(strategy));
-        let out = self.cache.get_or_try_compute(
-            (key, epoch),
-            || self.inner.read().epoch == epoch,
-            || open_bgp_stream(&*graph, patterns, strategy, budget).collect_limit(None),
-        );
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
-    }
-
-    /// Streams the first `limit` solutions of a BGP under `budget` —
-    /// LIMIT pushdown: enumeration stops the moment the k-th solution
-    /// arrives, so the evaluators do work proportional to the prefix,
-    /// not the full result. The prefix equals the first `limit` rows of
-    /// the corresponding full run (same plan, same snapshot, same
-    /// order). **Uncached** in both directions: a k-prefix is a partial
-    /// result and cached entries only ever hold complete ones.
+    /// The first `limit` solutions of a BGP under `budget`: a limited,
+    /// uncached [`TripleStore::execute`].
     pub fn query_limited(
         &self,
         patterns: &[TriplePattern],
         limit: usize,
         budget: &QueryBudget,
     ) -> Result<Vec<Mapping>, ExecError> {
-        budget.check()?;
-        let (graph, _epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        let out = open_bgp_stream(&*graph, patterns, strategy, budget).collect_limit(Some(limit));
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
+        limited_rows(self.execute(&QueryRequest {
+            limit: Some(limit),
+            ..QueryRequest::new(patterns, budget)
+        }))
+    }
+}
+
+/// The rows of a complete request run under an unlimited budget — the
+/// `query` delegation on both facades.
+pub(crate) fn unlimited_rows(out: Result<QueryResponse, ExecError>) -> Arc<Vec<Mapping>> {
+    // analyzer-allow: no-unwrap-in-service an unlimited budget never
+    // fails a checkpoint, so a complete answer always arrives.
+    out.expect("an unlimited budget never fails a checkpoint")
+        .rows
+}
+
+/// The rows of a limited request, unwrapped without a copy (nothing
+/// else holds an uncached result) — the `query_limited` delegation on
+/// both facades.
+pub(crate) fn limited_rows(
+    out: Result<QueryResponse, ExecError>,
+) -> Result<Vec<Mapping>, ExecError> {
+    Ok(Arc::try_unwrap(out?.rows).unwrap_or_else(|shared| shared.as_ref().clone()))
+}
+
+/// The result-cache entry a facade resolves a complete request against:
+/// its cache, the key of this query on the facade's snapshot, and the
+/// currency check deciding whether a freshly computed result may still
+/// land (a result whose epochs were superseded meanwhile is returned but
+/// never cached).
+pub(crate) struct CacheEntry<'a, K, C> {
+    pub(crate) cache: &'a ResultCache<K>,
+    pub(crate) key: K,
+    pub(crate) is_current: C,
+}
+
+/// The one BGP query path, run by both facades' `execute` on their own
+/// snapshot `ix`. It plans and resolves the strategy once, checks the
+/// budget before touching the cache, and serves a complete request
+/// through the strategy-keyed result cache (a LIMIT bypasses it,
+/// failures never enter it). It runs one [`BgpStream`], counting per
+/// step or level when profiling, and records the query and its outcome
+/// in the registry exactly once. `provenance` adds the facade's read
+/// provenance to the profile's root span.
+pub(crate) fn execute_bgp<K: Eq + Hash + Clone>(
+    ix: &dyn TripleIndex,
+    configured: JoinStrategy,
+    req: &QueryRequest<'_>,
+    entry: CacheEntry<'_, K, impl FnOnce(&K) -> bool>,
+    read: Vec<(usize, u64)>,
+    provenance: impl FnOnce(Span, &[(usize, u64)]) -> Span,
+) -> Result<QueryResponse, ExecError> {
+    let start = Instant::now();
+    let plan = plan_order(ix, req.patterns);
+    let strategy = resolve_with_order(ix, req.patterns, configured, &plan);
+    let plan_elapsed = start.elapsed();
+    #[cfg(test)]
+    tests::between_plan_and_execute();
+    let mut execute: Option<Span> = None;
+    let mut run = || {
+        let exec_start = Instant::now();
+        let mut stream = open_bgp_stream(
+            ix,
+            req.patterns,
+            strategy,
+            plan.clone(),
+            req.budget,
+            req.profile,
+        );
+        let rows = stream.collect_limit(req.limit)?;
+        if req.profile {
+            let mut span = Span::new("execute").timed(exec_start.elapsed());
+            for child in stat_spans(req.patterns, &stream) {
+                span.push(child);
+            }
+            execute = Some(span);
         }
-        out
+        Ok(rows)
+    };
+    let out = req.budget.check().and_then(|()| match req.limit {
+        Some(_) => run().map(Arc::new),
+        None => entry
+            .cache
+            .get_or_try_compute(entry.key, entry.is_current, run),
+    });
+    let total = start.elapsed();
+    crate::obs::on_query(strategy == JoinStrategy::Wco, total, plan_elapsed);
+    match &out {
+        Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
+        Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
+        Err(ExecError::Cancelled) => crate::obs::on_cancelled(),
     }
-
-    /// The infallible facade over [`TripleStore::query_limited`]: the
-    /// first `limit` solutions under an unlimited budget.
-    pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
-        // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, so the streamed prefix always arrives.
-        self.query_limited(patterns, limit, &QueryBudget::unlimited())
-            .expect("an unlimited budget never fails a checkpoint")
-    }
-
-    /// Shared variables helper for callers composing their own joins.
-    pub fn shared_vars(a: &TriplePattern, b: &TriplePattern) -> Vec<Variable> {
-        a.vars().intersection(&b.vars()).copied().collect()
-    }
-
-    /// Serves `(key, epoch)` from the cache, or computes it — at most
-    /// once across concurrent callers (see
-    /// [`ResultCache::get_or_compute`]). A result whose epoch has been
-    /// superseded by the time it lands is returned but not cached.
-    fn cached(
-        &self,
-        epoch: u64,
-        key: String,
-        compute: impl FnOnce() -> Vec<Mapping>,
-    ) -> Arc<Vec<Mapping>> {
-        self.cache
-            .get_or_compute((key, epoch), || self.inner.read().epoch == epoch, compute)
-    }
+    let rows = out?;
+    let profile = req.profile.then(|| {
+        let cache = match (req.limit, &execute) {
+            (Some(_), _) => "bypass",
+            (None, Some(_)) => "miss",
+            (None, None) => "hit",
+        };
+        let root = Span::new("query").timed(total).field("strategy", strategy);
+        let mut root = provenance(root, &read)
+            .field("patterns", req.patterns.len())
+            .field("rows", rows.len())
+            .field("cache", cache);
+        root.push(plan_span(&plan, plan_elapsed));
+        if let Some(span) = execute {
+            root.push(span);
+        }
+        QueryProfile::new(root)
+    });
+    Ok(QueryResponse {
+        rows,
+        plan,
+        strategy,
+        read,
+        profile,
+    })
 }
 
 /// The `plan` child span of a query profile: the chosen pattern order
 /// and the time planning (ordering + strategy resolution) took.
-pub(crate) fn plan_span(plan: &[usize], elapsed: Duration) -> Span {
+fn plan_span(plan: &[usize], elapsed: Duration) -> Span {
     let order = plan
         .iter()
         .map(usize::to_string)
@@ -1007,44 +948,88 @@ pub(crate) fn plan_span(plan: &[usize], elapsed: Duration) -> Span {
     Span::new("plan").timed(elapsed).field("order", order)
 }
 
-/// One `level ?v` span per WCOJ variable level, carrying the leapfrog's
-/// per-level counters.
-pub(crate) fn wco_level_spans(levels: &[(Variable, WcoLevelStats)]) -> Vec<Span> {
-    levels
-        .iter()
-        .map(|(v, s)| {
-            Span::new(format!("level {v}"))
-                .field("rows", s.rows)
-                .field("seeks", s.seeks)
-                .field("gallop_steps", s.gallop_steps)
-        })
-        .collect()
-}
-
-/// One `join` span per pairwise plan step, carrying the step's pattern,
-/// probe count and intermediate cardinality.
-pub(crate) fn pairwise_step_spans(
-    patterns: &[TriplePattern],
-    steps: &[PairwiseStepStats],
-) -> Vec<Span> {
-    steps
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Span::new(if i == 0 { "scan" } else { "join" })
-                .field("pattern", patterns[s.pattern])
-                .field("scans", s.scans)
-                .field("rows", s.rows)
-        })
-        .collect()
+/// The `execute` span's children: one `level ?v` span per WCOJ variable
+/// level with the leapfrog's counters, or one `scan`/`join` span per
+/// pairwise plan step with its pattern, probe count and intermediate
+/// cardinality.
+fn stat_spans(patterns: &[TriplePattern], stream: &BgpStream<'_>) -> Vec<Span> {
+    match stream {
+        BgpStream::Wco(s) => s
+            .level_stats()
+            .iter()
+            .map(|(v, s)| {
+                Span::new(format!("level {v}"))
+                    .field("rows", s.rows)
+                    .field("seeks", s.seeks)
+                    .field("gallop_steps", s.gallop_steps)
+            })
+            .collect(),
+        BgpStream::Pairwise(s) => s
+            .step_stats()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                Span::new(if i == 0 { "scan" } else { "join" })
+                    .field("pattern", patterns[s.pattern])
+                    .field("scans", s.scans)
+                    .field("rows", s.rows)
+            })
+            .collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+    use std::time::Duration;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::tp;
+
+    thread_local! {
+        /// A closure queued to run once between planning and execution
+        /// of this thread's next query — the regression hook for the
+        /// plan/execute epoch race.
+        static BETWEEN: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// Queues `hook` for the gap between planning and execution of this
+    /// thread's next query.
+    fn interleave_next_query(hook: impl FnOnce() + 'static) {
+        BETWEEN.with(|slot| *slot.borrow_mut() = Some(Box::new(hook)));
+    }
+
+    /// The skeleton's test-only injection point (see
+    /// [`interleave_next_query`]).
+    pub(super) fn between_plan_and_execute() {
+        if let Some(hook) = BETWEEN.with(|slot| slot.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// A complete request under an unlimited budget, optionally profiled.
+    fn run(s: &TripleStore, pats: &[TriplePattern], profile: bool) -> QueryResponse {
+        s.execute(&QueryRequest {
+            profile,
+            ..QueryRequest::new(pats, &QueryBudget::unlimited())
+        })
+        .expect("unlimited")
+    }
+
+    /// The rows of a complete request under `budget`.
+    fn complete_rows(
+        s: &TripleStore,
+        pats: &[TriplePattern],
+        budget: &QueryBudget,
+    ) -> Result<Arc<Vec<Mapping>>, ExecError> {
+        s.execute(&QueryRequest::new(pats, budget)).map(|r| r.rows)
+    }
+
+    /// The first `k` rows under an unlimited budget.
+    fn prefix(s: &TripleStore, pats: &[TriplePattern], k: usize) -> Vec<Mapping> {
+        s.query_limited(pats, k, &QueryBudget::unlimited())
+            .expect("unlimited")
+    }
 
     fn store() -> TripleStore {
         TripleStore::from_triples(
@@ -1243,7 +1228,10 @@ mod tests {
             "planning probes each pattern exactly once"
         );
         ix.count_calls.set(0);
-        let sols = eval_bgp_planned(&ix, &pats, &order);
+        let budget = QueryBudget::unlimited();
+        let sols = open_bgp_stream(&ix, &pats, JoinStrategy::Pairwise, order, &budget, false)
+            .collect_limit(None)
+            .expect("unlimited");
         assert_eq!(sols.len(), 2);
         assert_eq!(
             ix.count_calls.get(),
@@ -1256,30 +1244,32 @@ mod tests {
     fn planned_query_survives_an_interleaved_bulk_load() {
         // Before the fix, `plan` and `query` took separate snapshots: a
         // bulk load in between made the displayed plan and the executed
-        // one come from different epochs. `query_with_plan` threads one
+        // one come from different epochs. `execute` threads one
         // snapshot through both; the injected interleave lands exactly
         // in the old race window.
-        let s = store();
+        let s = Arc::new(store());
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
         ];
         let epoch_before = s.epoch();
-        let out = s.query_with_plan_interleaved(&pats, || {
+        let loader = Arc::clone(&s);
+        interleave_next_query(move || {
             // Make the load change both the plan input (q outgrows p, so
             // selectivity flips) and the answer set (d q x joins c p d).
-            s.bulk_load((0..6).map(|i| Triple::from_strs(&format!("n{i}"), "q", "x")));
-            s.bulk_load([Triple::from_strs("d", "q", "x")]);
+            loader.bulk_load((0..6).map(|i| Triple::from_strs(&format!("n{i}"), "q", "x")));
+            loader.bulk_load([Triple::from_strs("d", "q", "x")]);
         });
+        let out = run(&s, &pats, false);
         // Plan and solutions both reflect the pre-load snapshot ...
-        assert_eq!(out.epoch, epoch_before);
+        assert_eq!(out.read, vec![(0, epoch_before)]);
         assert_eq!(out.plan, vec![1, 0], "plan of the pre-load graph");
-        assert_eq!(out.solutions.len(), 2, "solutions of the pre-load graph");
+        assert_eq!(out.rows.len(), 2, "solutions of the pre-load graph");
         // ... while a fresh call sees the post-load world, consistently.
-        let fresh = s.query_with_plan(&pats);
-        assert_eq!(fresh.epoch, s.epoch());
+        let fresh = run(&s, &pats, false);
+        assert_eq!(fresh.read, vec![(0, s.epoch())]);
         assert_eq!(fresh.plan, vec![0, 1], "plan of the post-load graph");
-        assert_eq!(fresh.solutions.len(), 3);
+        assert_eq!(fresh.rows.len(), 3);
     }
 
     #[test]
@@ -1334,25 +1324,25 @@ mod tests {
         // Auto (the default) resolves the cyclic core to the WCOJ and
         // the chain to the pairwise pipeline.
         assert_eq!(s.join_strategy(), crate::JoinStrategy::Auto);
-        let auto = s.query_with_plan(&triangle);
+        let auto = run(&s, &triangle, false);
         assert_eq!(auto.strategy, crate::JoinStrategy::Wco);
         assert_eq!(
-            s.query_with_plan(&chain).strategy,
+            run(&s, &chain, false).strategy,
             crate::JoinStrategy::Pairwise
         );
         // Forcing pairwise agrees on the solution set, and flipping the
         // knob clears the cache (no stale cross-strategy hits).
         s.set_join_strategy(crate::JoinStrategy::Pairwise);
         assert_eq!(s.cache_stats().entries, 0, "knob flip clears the cache");
-        let pairwise = s.query_with_plan(&triangle);
+        let pairwise = run(&s, &triangle, false);
         assert_eq!(pairwise.strategy, crate::JoinStrategy::Pairwise);
         let sorted = |sols: &Arc<Vec<Mapping>>| {
             let mut v: Vec<Mapping> = sols.iter().cloned().collect();
             v.sort();
             v
         };
-        assert_eq!(sorted(&auto.solutions), sorted(&pairwise.solutions));
-        assert!(!auto.solutions.is_empty());
+        assert_eq!(sorted(&auto.rows), sorted(&pairwise.rows));
+        assert!(!auto.rows.is_empty());
         // And the forced-WCO knob serves the plain query path too.
         s.set_join_strategy(crate::JoinStrategy::Wco);
         assert_eq!(
@@ -1365,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn query_with_profile_builds_a_span_tree() {
+    fn execute_profile_builds_a_span_tree() {
         let s = TripleStore::from_triples(
             [
                 ("a", "p", "b"),
@@ -1381,9 +1371,9 @@ mod tests {
             tp(var("y"), iri("p"), var("z")),
             tp(var("x"), iri("p"), var("z")),
         ];
-        let out = s.query_with_profile(&triangle);
+        let out = run(&s, &triangle, true);
         assert_eq!(out.strategy, JoinStrategy::Wco);
-        assert_eq!(out.solutions, s.query_with_plan(&triangle).solutions);
+        assert_eq!(out.rows, run(&s, &triangle, false).rows);
         let profile = out.profile.expect("profiling was requested");
         assert_eq!(profile.root.get("strategy"), Some("wco"));
         assert_eq!(profile.root.get("cache"), Some("miss"));
@@ -1404,7 +1394,7 @@ mod tests {
         let text = profile.to_string();
         assert!(text.contains("├─ plan"), "rendered tree:\n{text}");
         // The same query again is served from the cache: no execute span.
-        let again = s.query_with_profile(&triangle);
+        let again = run(&s, &triangle, true);
         let cached = again.profile.expect("profiling was requested");
         assert_eq!(cached.root.get("cache"), Some("hit"));
         assert!(cached.root.children().iter().all(|c| c.name() != "execute"));
@@ -1414,7 +1404,7 @@ mod tests {
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("p"), var("z")),
         ];
-        let pq = s.query_with_profile(&chain);
+        let pq = run(&s, &chain, true);
         assert_eq!(pq.strategy, JoinStrategy::Pairwise);
         let profile = pq.profile.expect("profiling was requested");
         let exec = profile
@@ -1428,7 +1418,7 @@ mod tests {
         assert_eq!(exec.children()[1].name(), "join");
         assert_eq!(
             exec.children()[1].get("rows").map(str::to_owned),
-            Some(pq.solutions.len().to_string()),
+            Some(pq.rows.len().to_string()),
             "the last step's cardinality is the answer count"
         );
     }
@@ -1481,7 +1471,7 @@ mod tests {
     }
 
     #[test]
-    fn query_budgeted_shares_the_cache_and_types_its_failures() {
+    fn complete_requests_share_the_cache_and_type_their_failures() {
         let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),
@@ -1489,19 +1479,17 @@ mod tests {
         ];
         // An unlimited budget agrees with the materialising path and
         // lands in the same cache entry.
-        let budgeted = s
-            .query_budgeted(&pats, &QueryBudget::unlimited())
-            .expect("unlimited");
+        let budgeted = complete_rows(&s, &pats, &QueryBudget::unlimited()).expect("unlimited");
         assert_eq!(budgeted, s.query(&pats), "one cache entry serves both");
         assert_eq!(s.cache_stats().misses, 1, "query() hit the budgeted entry");
         // A dead budget fails typed, and the failure is not cached: the
         // key stays recomputable.
         let s2 = store();
-        let err = s2.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO));
+        let err = complete_rows(&s2, &pats, &QueryBudget::with_deadline(Duration::ZERO));
         assert_eq!(err, Err(ExecError::DeadlineExceeded));
         assert_eq!(s2.cache_stats().entries, 0, "errors never land in the LRU");
         assert_eq!(
-            s2.query_budgeted(&pats, &QueryBudget::unlimited())
+            complete_rows(&s2, &pats, &QueryBudget::unlimited())
                 .expect("fresh budget")
                 .len(),
             2
@@ -1511,7 +1499,7 @@ mod tests {
         token.cancel();
         let s3 = store();
         assert_eq!(
-            s3.query_budgeted(&pats, &QueryBudget::with_cancel(token)),
+            complete_rows(&s3, &pats, &QueryBudget::with_cancel(token)),
             Err(ExecError::Cancelled)
         );
     }
@@ -1527,17 +1515,17 @@ mod tests {
         assert_eq!(full.len(), 2);
         for k in 0..=full.len() {
             assert_eq!(
-                s.solutions_limit(&pats, k),
+                prefix(&s, &pats, k),
                 full[..k],
                 "LIMIT {k} must be the exact k-prefix of the full run"
             );
         }
         // Over-asking caps at the full result.
-        assert_eq!(s.solutions_limit(&pats, 99), *full);
+        assert_eq!(prefix(&s, &pats, 99), *full);
         // Limited runs neither read nor populate the result cache.
         let entries = s.cache_stats().entries;
         let hits = s.cache_stats().hits;
-        s.solutions_limit(&pats, 1);
+        prefix(&s, &pats, 1);
         assert_eq!(s.cache_stats().entries, entries);
         assert_eq!(s.cache_stats().hits, hits);
     }
@@ -1549,15 +1537,15 @@ mod tests {
         let p1 = tp(var("x"), iri("p"), var("y"));
         let p2 = tp(iri("a"), var("w"), var("y"));
         let p3 = tp(var("x"), var("w"), iri("b"));
-        s.solutions(&p1);
-        s.solutions(&p2);
-        s.solutions(&p1); // refresh p1
-        s.solutions(&p3); // evicts p2
+        s.query(&[p1]);
+        s.query(&[p2]);
+        s.query(&[p1]); // refresh p1
+        s.query(&[p3]); // evicts p2
         assert_eq!(s.cache_stats().entries, 2);
         let before = s.cache_stats().hits;
-        s.solutions(&p1);
+        s.query(&[p1]);
         assert_eq!(s.cache_stats().hits, before + 1);
-        s.solutions(&p2); // miss: was evicted
+        s.query(&[p2]); // miss: was evicted
         assert_eq!(s.cache_stats().misses, 4);
     }
 

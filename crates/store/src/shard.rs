@@ -47,24 +47,20 @@
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::encoded::EncodedGraph;
-use crate::join::open_bgp_stream;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
 use crate::service::{
-    eval_bgp_planned, eval_bgp_planned_profiled, pairwise_step_spans, plan_order, plan_span,
-    wco_level_spans, StoreError, StoreSnapshot, StoreStats, TripleStore,
+    cache_key, execute_bgp, limited_rows, unlimited_rows, CacheEntry, QueryRequest, QueryResponse,
+    StoreError, StoreSnapshot, StoreStats, TripleStore,
 };
-use crate::wcoj::{
-    eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_with_order, JoinStrategy,
-};
+use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use wdsparql_obs::{QueryProfile, Span};
 use wdsparql_rdf::{
-    ExecError, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Term, Triple, TripleIndex,
-    TriplePattern, Variable,
+    ExecError, Iri, Mapping, QueryBudget, RdfGraph, Term, Triple, TripleIndex, TriplePattern,
+    Variable,
 };
 
 /// Facade cache key: the BGP key plus the `(shard, epoch)` pairs the
@@ -467,28 +463,6 @@ impl fmt::Display for ShardedStats {
     }
 }
 
-/// A BGP answered by the sharded facade together with its plan and its
-/// read provenance (the sharded analogue of [`crate::PlannedQuery`]).
-#[derive(Clone, Debug)]
-#[must_use = "a dropped ShardedPlannedQuery is a scatter-gather query that ran for nothing"]
-pub struct ShardedPlannedQuery {
-    /// Pattern indexes in selectivity order (the pairwise evaluation
-    /// order; the WCOJ consumes it only as a selectivity signal).
-    pub plan: Vec<usize>,
-    /// The solution mappings.
-    pub solutions: Arc<Vec<Mapping>>,
-    /// The `(shard, epoch)` pairs the query read — exactly the shards
-    /// whose writes can invalidate this result (a fully subject-routed
-    /// query lists only its routed shards; a fan-out lists every shard).
-    pub read: Vec<(usize, u64)>,
-    /// The join strategy that actually ran (`Auto` already resolved).
-    pub strategy: JoinStrategy,
-    /// The execution profile, when requested through
-    /// [`ShardedStore::query_with_profile`] (`None` from
-    /// [`ShardedStore::query_with_plan`]).
-    pub profile: Option<QueryProfile>,
-}
-
 /// N hash-partitioned-by-subject [`TripleStore`] shards behind one
 /// facade: scattered parallel bulk loads under per-shard write locks,
 /// scatter-gather queries through the shared BGP planner, and a result
@@ -854,219 +828,58 @@ impl ShardedStore {
         }
     }
 
-    fn key_for(
-        &self,
-        patterns: &[TriplePattern],
-        strategy: JoinStrategy,
-        read: &[usize],
-        snap: &ShardedSnapshot,
-    ) -> ShardedKey {
-        let read: Vec<(usize, u64)> = read.iter().map(|&i| (i, snap.shards[i].epoch())).collect();
-        // Keyed by the configured strategy too, so entries produced
-        // under different knob settings never serve each other (see
-        // `strategy_cache_key`).
-        (
-            crate::service::strategy_cache_key(patterns, Some(strategy)),
-            read,
-        )
-    }
-
     fn key_still_current(&self, key: &ShardedKey) -> bool {
         key.1.iter().all(|&(i, e)| self.shards[i].epoch() == e)
     }
 
-    /// Cached single-pattern solutions: routed to one shard when the
-    /// subject is bound (and then keyed by — and invalidated with —
-    /// that shard's epoch alone), k-way merged across shards otherwise.
-    pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
-        self.query(std::slice::from_ref(pat))
+    /// Answers a BGP request over the sharded layout — the facade's one
+    /// query entry point (see [`TripleStore::execute`] for the
+    /// contract). The shared planner and join streams run on a
+    /// [`ShardedSnapshot`] pinning only the shards the query can read:
+    /// each pattern match (or trie) routes or fans out on its own.
+    /// Complete results are cached under the epoch vector of the shards
+    /// the query read, so a routed result survives writes elsewhere.
+    pub fn execute(&self, req: &QueryRequest<'_>) -> Result<QueryResponse, ExecError> {
+        let read = self.read_set(req.patterns);
+        let snap = self.read_snapshot_for(&read);
+        let strategy = self.join_strategy();
+        let read: Vec<(usize, u64)> = read.iter().map(|&i| (i, snap.shards[i].epoch())).collect();
+        let entry = CacheEntry {
+            cache: &self.cache,
+            key: (cache_key(req.patterns, strategy), read.clone()),
+            is_current: |key: &ShardedKey| self.key_still_current(key),
+        };
+        let shard_count = self.shards.len();
+        execute_bgp(&snap, strategy, req, entry, read, |root, read| {
+            let shards_read = read
+                .iter()
+                .map(|&(i, e)| format!("{i}@{e}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            let routed = read.len() < shard_count;
+            root.field("routing", if routed { "routed" } else { "fan-out" })
+                .field("shards_read", shards_read)
+        })
     }
 
-    /// Evaluates a BGP over the sharded layout under the configured
-    /// [`JoinStrategy`]: the shared planner and pairwise pipeline of
-    /// [`TripleStore::query`], or the worst-case-optimal leapfrog join,
-    /// running on a [`ShardedSnapshot`] — each pattern match (or trie)
-    /// routes or fans out on its own. Results are cached under the
-    /// epoch vector of the shards the query read.
+    /// All solutions of a BGP under an unlimited budget: a complete,
+    /// cached [`ShardedStore::execute`].
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let key = self.key_for(patterns, strategy, &read, &snap);
-        self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || eval_bgp_with_strategy(&snap, patterns, strategy),
-        )
+        unlimited_rows(self.execute(&QueryRequest::new(patterns, &QueryBudget::unlimited())))
     }
 
-    /// As [`ShardedStore::query`], evaluated under `budget`: the
-    /// streaming evaluators run over the scatter-gather snapshot and
-    /// checkpoint the deadline/cancellation token at every pull and
-    /// inside the WCOJ/merge inner loops, so a failed budget surfaces
-    /// as a typed [`ExecError`]. Complete results are cached under the
-    /// usual epoch-vector key; failures never are.
-    pub fn query_budgeted(
-        &self,
-        patterns: &[TriplePattern],
-        budget: &QueryBudget,
-    ) -> Result<Arc<Vec<Mapping>>, ExecError> {
-        // Checkpoint before even consulting the cache: an already-dead
-        // budget fails here, independent of what happens to be cached.
-        budget.check()?;
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let key = self.key_for(patterns, strategy, &read, &snap);
-        let out = self.cache.get_or_try_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || open_bgp_stream(&snap, patterns, strategy, budget).collect_limit(None),
-        );
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
-    }
-
-    /// Streams the first `limit` solutions over the sharded layout
-    /// under `budget` — LIMIT pushdown across the scatter-gather path;
-    /// see [`TripleStore::query_limited`] for the contract. Uncached:
-    /// a k-prefix is a partial result.
+    /// The first `limit` solutions of a BGP under `budget`: a limited,
+    /// uncached [`ShardedStore::execute`].
     pub fn query_limited(
         &self,
         patterns: &[TriplePattern],
         limit: usize,
         budget: &QueryBudget,
     ) -> Result<Vec<Mapping>, ExecError> {
-        // Checkpoint before any snapshot work: an already-dead budget
-        // fails here, before the store spends effort on its behalf.
-        budget.check()?;
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let out = open_bgp_stream(&snap, patterns, strategy, budget).collect_limit(Some(limit));
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
-    }
-
-    /// The infallible facade over [`ShardedStore::query_limited`]: the
-    /// first `limit` solutions under an unlimited budget.
-    pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
-        // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, so the streamed prefix always arrives.
-        self.query_limited(patterns, limit, &QueryBudget::unlimited())
-            .expect("an unlimited budget never fails a checkpoint")
-    }
-
-    /// As [`ShardedStore::query`], but also returns the evaluation
-    /// order, the resolved strategy and the query's read provenance —
-    /// plan and solutions from one snapshot, the plan computed exactly
-    /// once.
-    pub fn query_with_plan(&self, patterns: &[TriplePattern]) -> ShardedPlannedQuery {
-        let start = Instant::now();
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let configured = self.join_strategy();
-        let key = self.key_for(patterns, configured, &read, &snap);
-        let plan_start = Instant::now();
-        let plan = plan_order(&snap, patterns);
-        let strategy = resolve_with_order(&snap, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let solutions = self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || match strategy {
-                JoinStrategy::Wco => eval_bgp_wco(&snap, patterns),
-                _ => eval_bgp_planned(&snap, patterns, &plan),
-            },
-        );
-        crate::obs::on_query(strategy == JoinStrategy::Wco, start.elapsed(), plan_elapsed);
-        ShardedPlannedQuery {
-            plan,
-            solutions,
-            read: key.1,
-            strategy,
-            profile: None,
-        }
-    }
-
-    /// As [`ShardedStore::query_with_plan`], additionally building an
-    /// execution profile (the sharded analogue of
-    /// [`TripleStore::query_with_profile`]): the root span carries the
-    /// read provenance — which shards the query pinned, at which
-    /// epochs, and whether it was fully subject-routed or a fan-out —
-    /// on top of the plan timing, strategy, cache outcome and (on a
-    /// cache miss) per-level WCOJ or per-step pairwise counters.
-    pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> ShardedPlannedQuery {
-        let start = Instant::now();
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let configured = self.join_strategy();
-        let key = self.key_for(patterns, configured, &read, &snap);
-        let plan_start = Instant::now();
-        let plan = plan_order(&snap, patterns);
-        let strategy = resolve_with_order(&snap, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let mut execute: Option<Span> = None;
-        let solutions = self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || {
-                let exec_start = Instant::now();
-                let (sols, detail) = match strategy {
-                    JoinStrategy::Wco => {
-                        let (sols, levels) = eval_bgp_wco_profiled(&snap, patterns);
-                        (sols, wco_level_spans(&levels))
-                    }
-                    _ => {
-                        let (sols, steps) = eval_bgp_planned_profiled(&snap, patterns, &plan);
-                        (sols, pairwise_step_spans(patterns, &steps))
-                    }
-                };
-                let mut span = Span::new("execute").timed(exec_start.elapsed());
-                for child in detail {
-                    span.push(child);
-                }
-                execute = Some(span);
-                sols
-            },
-        );
-        let total = start.elapsed();
-        crate::obs::on_query(strategy == JoinStrategy::Wco, total, plan_elapsed);
-        let computed_here = execute.is_some();
-        let routed = key.1.len() < self.shards.len();
-        let shards_read = key
-            .1
-            .iter()
-            .map(|&(i, e)| format!("{i}@{e}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut root = Span::new("query")
-            .timed(total)
-            .field("strategy", strategy)
-            .field("routing", if routed { "routed" } else { "fan-out" })
-            .field("shards_read", shards_read)
-            .field("patterns", patterns.len())
-            .field("rows", solutions.len())
-            .field("cache", if computed_here { "miss" } else { "hit" });
-        root.push(plan_span(&plan, plan_elapsed));
-        if let Some(span) = execute {
-            root.push(span);
-        }
-        ShardedPlannedQuery {
-            plan,
-            solutions,
-            read: key.1,
-            strategy,
-            profile: Some(QueryProfile::new(root)),
-        }
+        limited_rows(self.execute(&QueryRequest {
+            limit: Some(limit),
+            ..QueryRequest::new(patterns, budget)
+        }))
     }
 }
 
@@ -1075,6 +888,15 @@ mod tests {
     use super::*;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::tp;
+
+    /// A complete request under an unlimited budget, optionally profiled.
+    fn run(s: &ShardedStore, pats: &[TriplePattern], profile: bool) -> QueryResponse {
+        s.execute(&QueryRequest {
+            profile,
+            ..QueryRequest::new(pats, &QueryBudget::unlimited())
+        })
+        .expect("unlimited")
+    }
 
     fn fixture() -> Vec<Triple> {
         [
@@ -1194,8 +1016,8 @@ mod tests {
         assert_eq!(got, want);
         // The planned variant returns the same solutions plus its read
         // provenance — a fan-out reads every shard at its current epoch.
-        let planned = sharded.query_with_plan(&pats);
-        assert_eq!(planned.solutions.len(), want.len());
+        let planned = run(&sharded, &pats, false);
+        assert_eq!(planned.rows.len(), want.len());
         assert_eq!(planned.plan.len(), pats.len());
         let epochs = sharded.epochs();
         assert_eq!(
@@ -1313,8 +1135,8 @@ mod tests {
         assert_eq!(snap.epochs()[sb], 0, "placeholder epoch");
         // And the routed facade path stays correct through it, with
         // single-pair provenance.
-        let planned = store.query_with_plan(&[tp(a, iri("p"), var("y"))]);
-        assert_eq!(planned.solutions.len(), 1);
+        let planned = run(&store, &[tp(a, iri("p"), var("y"))], false);
+        assert_eq!(planned.rows.len(), 1);
         assert_eq!(planned.read, vec![(sa, store.epochs()[sa])]);
     }
 
@@ -1358,9 +1180,9 @@ mod tests {
             tp(var("x"), iri("p"), var("z")),
         ];
         // Auto resolves the cyclic core to the WCOJ on the facade.
-        let planned = sharded.query_with_plan(&triangle);
+        let planned = run(&sharded, &triangle, false);
         assert_eq!(planned.strategy, JoinStrategy::Wco);
-        assert!(!planned.solutions.is_empty());
+        assert!(!planned.rows.is_empty());
         // All strategies × both layouts: one solution set.
         let sorted = |sols: &Arc<Vec<Mapping>>| {
             let mut v: Vec<Mapping> = sols.iter().cloned().collect();
@@ -1400,8 +1222,9 @@ mod tests {
         ] {
             sharded.set_join_strategy(strategy);
             let full = sharded
-                .query_budgeted(&triangle, &QueryBudget::unlimited())
-                .expect("unlimited");
+                .execute(&QueryRequest::new(&triangle, &QueryBudget::unlimited()))
+                .expect("unlimited")
+                .rows;
             assert_eq!(
                 full,
                 sharded.query(&triangle),
@@ -1409,13 +1232,20 @@ mod tests {
             );
             for k in 0..=full.len() {
                 assert_eq!(
-                    sharded.solutions_limit(&triangle, k),
+                    sharded
+                        .query_limited(&triangle, k, &QueryBudget::unlimited())
+                        .expect("unlimited"),
                     full[..k],
                     "{strategy}: LIMIT {k} must be the exact k-prefix"
                 );
             }
             assert_eq!(
-                sharded.query_budgeted(&triangle, &QueryBudget::with_deadline(Duration::ZERO)),
+                sharded
+                    .execute(&QueryRequest::new(
+                        &triangle,
+                        &QueryBudget::with_deadline(Duration::ZERO)
+                    ))
+                    .map(|r| r.rows),
                 Err(ExecError::DeadlineExceeded),
                 "{strategy}: a dead budget fails typed, not by panicking"
             );
@@ -1442,7 +1272,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_query_with_profile_builds_a_span_tree() {
+    fn sharded_execute_profile_builds_a_span_tree() {
         let mut triples = fixture();
         triples.push(Triple::from_strs("a", "p", "c")); // close a triangle
         let sharded = ShardedStore::from_triples(3, triples);
@@ -1452,7 +1282,7 @@ mod tests {
             tp(var("x"), iri("p"), var("z")),
         ];
         // Unbound subjects: a fan-out over every shard, WCO under Auto.
-        let planned = sharded.query_with_profile(&triangle);
+        let planned = run(&sharded, &triangle, true);
         assert_eq!(planned.strategy, JoinStrategy::Wco);
         let profile = planned.profile.as_ref().expect("profile requested");
         let root = &profile.root;
@@ -1475,13 +1305,13 @@ mod tests {
         assert_eq!(levels.len(), 3, "one span per WCOJ variable level");
         assert!(levels.iter().all(|s| s.get("rows").is_some()));
         // Same query again: served from the facade cache, no execution.
-        let again = sharded.query_with_profile(&triangle);
+        let again = run(&sharded, &triangle, true);
         let root = &again.profile.as_ref().unwrap().root;
         assert_eq!(root.get("cache"), Some("hit"));
         assert!(root.children().iter().all(|s| s.name() != "execute"));
-        assert_eq!(again.solutions, planned.solutions);
+        assert_eq!(again.rows, planned.rows);
         // A fully subject-routed query reports routed provenance.
-        let routed = sharded.query_with_profile(&[tp(iri("b"), iri("p"), var("y"))]);
+        let routed = run(&sharded, &[tp(iri("b"), iri("p"), var("y"))], true);
         let root = &routed.profile.as_ref().unwrap().root;
         assert_eq!(root.get("routing"), Some("routed"));
         assert_eq!(

@@ -1,8 +1,8 @@
 //! Worst-case-optimal multiway joins (leapfrog triejoin) over the
 //! sorted permutations.
 //!
-//! The pairwise pipeline ([`crate::TripleStore::query`]'s semi-join +
-//! bind joins) materialises an intermediate result per join step; on
+//! The pairwise pipeline ([`crate::PairwiseStream`]'s semi-join + bind
+//! joins) materialises an intermediate result per join step; on
 //! cyclic cores — triangles, k-cliques — those intermediates blow up
 //! exactly as the AGM bound predicts, even though the store already pays
 //! for four sorted permutations that could answer the query without
@@ -27,8 +27,8 @@
 //!   default materialised trie in [`Iri`] key space;
 //! * at each variable the participating tries are intersected by
 //!   **leapfrog search**: repeatedly gallop (`seek`) the laggards to the
-//!   current maximum until all agree, bind, `open`, recurse
-//!   ([`eval_bgp_wco`]).
+//!   current maximum until all agree, bind, `open`, descend
+//!   ([`WcoStream`]).
 //!
 //! [`resolve_strategy`] is the planner hook: under
 //! [`JoinStrategy::Auto`] a query core routes to the WCOJ when its
@@ -40,8 +40,9 @@
 
 use crate::dict::{Dictionary, TermId};
 use crate::encoded::EncodedGraph;
+use crate::join::open_bgp_stream;
 use crate::segment::{Perm, Row};
-use crate::service::{eval_bgp, plan_order};
+use crate::service::plan_order;
 use std::collections::BTreeSet;
 use std::fmt;
 use wdsparql_rdf::{
@@ -50,7 +51,7 @@ use wdsparql_rdf::{
 };
 
 /// Execution counters of one leapfrog level (one variable of the global
-/// order), reported by [`eval_bgp_wco_profiled`]:
+/// order), reported by a profiled [`WcoStream`]:
 ///
 /// * `rows` — successful alignments, i.e. keys bound at this level (the
 ///   level's output cardinality across the whole run);
@@ -187,7 +188,7 @@ pub fn resolve_strategy(
 }
 
 /// As [`resolve_strategy`] with the pairwise plan already in hand — the
-/// service entry point (`query_with_plan` computes the order anyway, and
+/// service entry point (`execute` computes the order anyway, and
 /// re-deriving it here would undo the plans-exactly-once guarantee).
 pub(crate) fn resolve_with_order(
     ix: &dyn TripleIndex,
@@ -238,27 +239,29 @@ fn pairwise_blowup_predicted(
     worst > inputs.saturating_mul(4).max(1024)
 }
 
-/// Evaluates a BGP with the given strategy knob: resolves `Auto` on this
-/// snapshot, then runs either the pairwise pipeline or
-/// [`eval_bgp_wco`]. Both produce the same solution *set* (the order may
-/// differ). The pairwise order is planned exactly once — resolution and
-/// execution share it.
+/// Evaluates a BGP with the given strategy knob and collects every
+/// solution: plans the pairwise order once, resolves `Auto` against it
+/// and drains [`open_bgp_stream`] under an unlimited budget. Every
+/// strategy produces the same solution *set* (the order may differ).
+/// The one materialising helper outside the services, for benches,
+/// experiments and equivalence tests.
 pub fn eval_bgp_with_strategy(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
     strategy: JoinStrategy,
 ) -> Vec<Mapping> {
-    match strategy {
-        JoinStrategy::Wco => eval_bgp_wco(ix, patterns),
-        JoinStrategy::Pairwise => eval_bgp(ix, patterns),
-        JoinStrategy::Auto => {
-            let order = plan_order(ix, patterns);
-            match resolve_with_order(ix, patterns, strategy, &order) {
-                JoinStrategy::Wco => eval_bgp_wco(ix, patterns),
-                _ => crate::service::eval_bgp_planned(ix, patterns, &order),
-            }
-        }
-    }
+    let budget = QueryBudget::unlimited();
+    let mut stream = open_bgp_stream(
+        ix,
+        patterns,
+        strategy,
+        plan_order(ix, patterns),
+        &budget,
+        false,
+    );
+    stream
+        .collect_limit(None)
+        .expect("an unlimited budget never fails a checkpoint")
 }
 
 /// The global variable order of the leapfrog join: seed with the
@@ -312,45 +315,6 @@ pub fn wco_variable_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> V
     order
 }
 
-/// Worst-case-optimal evaluation of the conjunction of `patterns`: one
-/// seekable trie per pattern ([`TripleIndex::trie_cursor`]), leapfrog
-/// intersection variable by variable in [`wco_variable_order`]. Returns
-/// the same solution set as the pairwise pipeline — every distinct
-/// mapping over `vars(patterns)` whose image lies in the graph — without
-/// materialising any pairwise intermediate.
-pub fn eval_bgp_wco(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    eval_wco_inner(ix, patterns, None)
-}
-
-/// As [`eval_bgp_wco`], additionally reporting per-level execution
-/// counters — one `(variable, stats)` pair per variable of the global
-/// order, in that order. Queries that short-circuit before the leapfrog
-/// runs (a failed ground gate, an all-ground BGP) report no levels.
-pub fn eval_bgp_wco_profiled(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-) -> (Vec<Mapping>, Vec<(Variable, WcoLevelStats)>) {
-    let mut levels = Vec::new();
-    let sols = eval_wco_inner(ix, patterns, Some(&mut levels));
-    (sols, levels)
-}
-
-fn eval_wco_inner(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    profile: Option<&mut Vec<(Variable, WcoLevelStats)>>,
-) -> Vec<Mapping> {
-    let budget = QueryBudget::unlimited();
-    let mut stream = WcoStream::new(ix, patterns, &budget, profile.is_some());
-    let out = stream
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint");
-    if let Some(p) = profile {
-        *p = stream.level_stats();
-    }
-    out
-}
-
 /// Where a [`WcoStream`] resumes inside one level of the leapfrog
 /// intersection.
 enum WcoMode {
@@ -367,7 +331,14 @@ enum WcoMode {
     Advance,
 }
 
-/// The leapfrog triejoin as a resumable explicit-stack cursor: the
+/// Worst-case-optimal evaluation of the conjunction of `patterns`: one
+/// seekable trie per pattern ([`TripleIndex::trie_cursor`]), leapfrog
+/// intersection variable by variable in [`wco_variable_order`]. Yields
+/// the same solution set as the pairwise pipeline — every distinct
+/// mapping over `vars(patterns)` whose image lies in the graph — without
+/// materialising any pairwise intermediate.
+///
+/// The leapfrog triejoin runs as a resumable explicit-stack cursor: the
 /// recursion of the classic LFTJ flattened into (`level`, [`WcoMode`])
 /// so each [`SolutionStream::next`] pull runs the intersection exactly
 /// until the next full binding is found, then suspends. The classic
@@ -846,6 +817,25 @@ mod tests {
         sols
     }
 
+    fn pairwise(ix: &dyn TripleIndex, pats: &[TriplePattern]) -> Vec<Mapping> {
+        eval_bgp_with_strategy(ix, pats, JoinStrategy::Pairwise)
+    }
+
+    fn wco(ix: &dyn TripleIndex, pats: &[TriplePattern]) -> Vec<Mapping> {
+        eval_bgp_with_strategy(ix, pats, JoinStrategy::Wco)
+    }
+
+    /// A drained profiled leapfrog run and its per-level counters.
+    fn wco_profiled(
+        ix: &dyn TripleIndex,
+        pats: &[TriplePattern],
+    ) -> (Vec<Mapping>, Vec<(Variable, WcoLevelStats)>) {
+        let budget = QueryBudget::unlimited();
+        let mut stream = WcoStream::new(ix, pats, &budget, true);
+        let sols = stream.collect_limit(None).expect("unlimited");
+        (sols, stream.level_stats())
+    }
+
     fn ring_graph(n: usize) -> Vec<Triple> {
         // A directed n-ring over `p` plus chords, so triangles exist.
         let mut ts: Vec<Triple> = (0..n)
@@ -992,14 +982,14 @@ mod tests {
         half.insert_batch(ts[ts.len() / 2..].iter().copied())
             .unwrap();
         let pats = triangle_bgp();
-        let want = sorted(eval_bgp(&compacted, &pats));
+        let want = sorted(pairwise(&compacted, &pats));
         assert!(!want.is_empty(), "the chorded ring has triangles");
         for (label, g) in [
             ("compacted", &compacted),
             ("staged", &staged),
             ("half", &half),
         ] {
-            assert_eq!(sorted(eval_bgp_wco(g, &pats)), want, "{label}");
+            assert_eq!(sorted(wco(g, &pats)), want, "{label}");
         }
         // And through the strategy knob.
         assert_eq!(
@@ -1052,12 +1042,12 @@ mod tests {
             vec![],
         ];
         for pats in cases {
-            let got = sorted(eval_bgp_wco(&g, &pats));
-            let want = sorted(eval_bgp(&g, &pats));
+            let got = sorted(wco(&g, &pats));
+            let want = sorted(pairwise(&g, &pats));
             assert_eq!(got, want, "encoded backend on {pats:?}");
             // The generic materialised path (RdfGraph default cursors)
             // agrees too.
-            let generic = sorted(eval_bgp_wco(&r, &pats));
+            let generic = sorted(wco(&r, &pats));
             assert_eq!(generic, want, "materialised backend on {pats:?}");
         }
     }
@@ -1066,8 +1056,8 @@ mod tests {
     fn profiled_wco_reports_per_level_counters() {
         let g = EncodedGraph::from_triples(ring_graph(12));
         let pats = triangle_bgp();
-        let (sols, levels) = eval_bgp_wco_profiled(&g, &pats);
-        assert_eq!(sorted(sols.clone()), sorted(eval_bgp_wco(&g, &pats)));
+        let (sols, levels) = wco_profiled(&g, &pats);
+        assert_eq!(sorted(sols.clone()), sorted(wco(&g, &pats)));
         let order = wco_variable_order(&g, &pats);
         assert_eq!(
             levels.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
@@ -1093,7 +1083,7 @@ mod tests {
         );
         // Short-circuited queries report no levels.
         let ground = [tp(iri("v0"), iri("p"), iri("v1"))];
-        let (sols, levels) = eval_bgp_wco_profiled(&g, &ground);
+        let (sols, levels) = wco_profiled(&g, &ground);
         assert_eq!(sols.len(), 1);
         assert!(levels.is_empty());
     }

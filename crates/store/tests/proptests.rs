@@ -7,9 +7,11 @@
 //! proptest).
 
 use proptest::prelude::*;
-use wdsparql_rdf::{tp, Iri, Mapping, RdfGraph, Triple, TripleIndex, TriplePattern, Variable};
+use wdsparql_rdf::{
+    tp, Iri, Mapping, QueryBudget, RdfGraph, Triple, TripleIndex, TriplePattern, Variable,
+};
 use wdsparql_store::{
-    eval_bgp_pairwise, eval_bgp_wco, CompactionPolicy, Dictionary, EncodedGraph, JoinStrategy,
+    eval_bgp_with_strategy, CompactionPolicy, Dictionary, EncodedGraph, JoinStrategy, QueryRequest,
     ShardedStore, TripleStore,
 };
 
@@ -228,9 +230,11 @@ proptest! {
         };
         let epoch = store.epoch();
         for _ in 0..rounds {
-            let out = store.query_with_plan(&pats);
-            prop_assert_eq!(out.epoch, epoch, "compaction must not bump the epoch");
-            let mut got: Vec<_> = out.solutions.iter().cloned().collect();
+            let out = store
+                .execute(&QueryRequest::new(&pats, &QueryBudget::unlimited()))
+                .expect("unlimited");
+            prop_assert_eq!(out.read, vec![(0, epoch)], "compaction must not bump the epoch");
+            let mut got: Vec<_> = out.rows.iter().cloned().collect();
             got.sort();
             prop_assert_eq!(&got, &want, "query racing compaction diverged");
         }
@@ -348,17 +352,17 @@ proptest! {
         let want = reference_bgp(&g, &pats);
         let store = TripleStore::from_triples(g.iter().copied());
         let snap = store.read_snapshot();
-        let mut wco = eval_bgp_wco(snap.graph(), &pats);
+        let mut wco = eval_bgp_with_strategy(snap.graph(), &pats, JoinStrategy::Wco);
         wco.sort();
         prop_assert_eq!(&wco, &want, "wco vs reference on {:?}", &pats);
-        let mut pairwise = eval_bgp_pairwise(snap.graph(), &pats);
+        let mut pairwise = eval_bgp_with_strategy(snap.graph(), &pats, JoinStrategy::Pairwise);
         pairwise.sort();
         prop_assert_eq!(&pairwise, &want, "pairwise vs reference on {:?}", &pats);
         // The sharded scatter-gather snapshot joins through materialised
         // tries; the facade must agree under every knob setting.
         let sharded = ShardedStore::from_triples(shards, g.iter().copied());
         let ssnap = sharded.snapshot();
-        let mut swco = eval_bgp_wco(&ssnap, &pats);
+        let mut swco = eval_bgp_with_strategy(&ssnap, &pats, JoinStrategy::Wco);
         swco.sort();
         prop_assert_eq!(&swco, &want, "sharded wco vs reference on {:?}", &pats);
         for strategy in [JoinStrategy::Pairwise, JoinStrategy::Wco, JoinStrategy::Auto] {

@@ -1,6 +1,6 @@
-//! Property tests for the streaming execution core: the pull-based
-//! solution streams behind `solutions_limit`/`query_budgeted` must be
-//! indistinguishable from the materialised path — on random BGPs
+//! Property tests for the streaming execution core: every request shape
+//! `execute` takes — complete, LIMITed, budgeted, profiled — must be
+//! indistinguishable from the complete unprofiled answer on random BGPs
 //! (cyclic cores, repeated variables, ground and absent-constant
 //! patterns), random LIMIT prefixes, every `JoinStrategy` and both
 //! store facades — and a budget that is already dead must always
@@ -12,7 +12,7 @@ use std::time::Duration;
 use wdsparql_rdf::{
     tp, CancelToken, ExecError, Mapping, QueryBudget, RdfGraph, Triple, TriplePattern,
 };
-use wdsparql_store::{JoinStrategy, ShardedStore, TripleStore};
+use wdsparql_store::{JoinStrategy, QueryRequest, QueryResponse, ShardedStore, TripleStore};
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
     proptest::collection::vec((0..6usize, 0..3usize, 0..6usize), 0..20).prop_map(|ts| {
@@ -36,15 +36,26 @@ fn join_term_of(choice: usize, prefix: &str) -> wdsparql_rdf::Term {
     }
 }
 
+/// A fresh, already-expired budget.
+fn dead() -> QueryBudget {
+    QueryBudget::with_deadline(Duration::ZERO)
+}
+
+/// The rows of a response, or its typed failure.
+fn rows(out: Result<QueryResponse, ExecError>) -> Result<Vec<Mapping>, ExecError> {
+    out.map(|r| r.rows.as_ref().clone())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The streamed k-prefix equals the materialised result's first k
     /// rows exactly (so sizes are exact and the prefix is a subset),
     /// an unlimited budgeted query reproduces the materialised answer,
-    /// and a dead budget — zero deadline or tripped cancellation
-    /// token, fresh per query — fails typed. Across all three join
-    /// strategies, every shard layout, both store facades.
+    /// a profiled run (counters on) reproduces it row for row under the
+    /// same plan, and a dead budget — zero deadline or tripped
+    /// cancellation token, fresh per query — fails typed. Across all
+    /// three join strategies, every shard layout, both store facades.
     #[test]
     fn streaming_matches_materialized(
         g in arb_graph(),
@@ -60,16 +71,41 @@ proptest! {
             .collect();
         let single = TripleStore::from_triples(g.iter().copied());
         let sharded = ShardedStore::from_triples(shards, g.iter().copied());
+        let unlimited = QueryBudget::unlimited();
+        let complete = QueryRequest::new(&pats, &unlimited);
+        let profiled = QueryRequest { profile: true, ..complete };
         for strategy in [JoinStrategy::Pairwise, JoinStrategy::Wco, JoinStrategy::Auto] {
             single.set_join_strategy(strategy);
             sharded.set_join_strategy(strategy);
 
-            let full: Vec<Mapping> = single.query(&pats).as_ref().clone();
-            let sharded_full: Vec<Mapping> = sharded.query(&pats).as_ref().clone();
+            let plain = single.execute(&complete).expect("unlimited");
+            let splain = sharded.execute(&complete).expect("unlimited");
+            let full: Vec<Mapping> = plain.rows.as_ref().clone();
+            let sharded_full: Vec<Mapping> = splain.rows.as_ref().clone();
+
+            // Profiled: re-setting the knob clears the cache, so the
+            // profiled request really runs with its counters on — and
+            // must reproduce the unprofiled rows in order, under the
+            // identical plan.
+            single.set_join_strategy(strategy);
+            sharded.set_join_strategy(strategy);
+            let prof = single.execute(&profiled).expect("unlimited");
+            prop_assert_eq!(prof.rows.as_ref(), &full, "{} single profiled rows", strategy);
+            prop_assert_eq!(&prof.plan, &plain.plan, "{} single profiled plan", strategy);
+            prop_assert!(prof.profile.is_some_and(|p| p.root.get("cache") == Some("miss")));
+            let sprof = sharded.execute(&profiled).expect("unlimited");
+            prop_assert_eq!(
+                sprof.rows.as_ref(),
+                &sharded_full,
+                "{} sharded profiled rows",
+                strategy
+            );
+            prop_assert_eq!(&sprof.plan, &splain.plan, "{} sharded profiled plan", strategy);
+            prop_assert!(sprof.profile.is_some_and(|p| p.root.get("cache") == Some("miss")));
 
             // Exact prefix: first-k streamed rows are the materialised
             // result's first k rows, in order.
-            let prefix = single.solutions_limit(&pats, k);
+            let prefix = single.query_limited(&pats, k, &unlimited).expect("unlimited");
             prop_assert_eq!(prefix.len(), k.min(full.len()), "{} single prefix size", strategy);
             prop_assert_eq!(
                 &prefix[..],
@@ -78,7 +114,7 @@ proptest! {
                 strategy,
                 &pats
             );
-            let sprefix = sharded.solutions_limit(&pats, k);
+            let sprefix = sharded.query_limited(&pats, k, &unlimited).expect("unlimited");
             prop_assert_eq!(
                 sprefix.len(),
                 k.min(sharded_full.len()),
@@ -94,20 +130,16 @@ proptest! {
             );
 
             // An unlimited budget changes nothing.
-            let budgeted = single
-                .query_budgeted(&pats, &QueryBudget::unlimited())
-                .expect("unlimited");
+            let budgeted = single.execute(&complete).expect("unlimited").rows;
             prop_assert_eq!(budgeted.as_ref(), &full);
-            let sbudgeted = sharded
-                .query_budgeted(&pats, &QueryBudget::unlimited())
-                .expect("unlimited");
+            let sbudgeted = sharded.execute(&complete).expect("unlimited").rows;
             prop_assert_eq!(sbudgeted.as_ref(), &sharded_full);
 
             // A dead budget always fails typed — fresh budget per query
             // (the first checkpoint is the one guaranteed clock check),
             // cached or not, limited or not.
             prop_assert_eq!(
-                single.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO)),
+                rows(single.execute(&QueryRequest::new(&pats, &dead()))),
                 Err(ExecError::DeadlineExceeded)
             );
             prop_assert_eq!(
@@ -115,7 +147,7 @@ proptest! {
                 Err(ExecError::DeadlineExceeded)
             );
             prop_assert_eq!(
-                sharded.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO)),
+                rows(sharded.execute(&QueryRequest::new(&pats, &dead()))),
                 Err(ExecError::DeadlineExceeded)
             );
             prop_assert_eq!(
@@ -125,7 +157,10 @@ proptest! {
             let token = CancelToken::new();
             token.cancel();
             prop_assert_eq!(
-                single.query_budgeted(&pats, &QueryBudget::unlimited().and_cancel(token.clone())),
+                rows(single.execute(&QueryRequest::new(
+                    &pats,
+                    &QueryBudget::unlimited().and_cancel(token.clone())
+                ))),
                 Err(ExecError::Cancelled)
             );
             prop_assert_eq!(

@@ -10,7 +10,8 @@
 //! Run with: `cargo run --example store_service`
 
 use std::sync::Arc;
-use wdsparql::rdf::{iri, tp, var, Iri};
+use wdsparql::rdf::{iri, tp, var, Iri, QueryBudget};
+use wdsparql::store::QueryRequest;
 use wdsparql::workloads::{skewed_triple_stream, triple_stream};
 use wdsparql::{Engine, Query, ShardedStore, TripleStore};
 
@@ -67,17 +68,20 @@ fn main() {
         println!("worker {worker}: {n} solutions");
     }
 
-    // 4. The service's conjunctive (BGP) path: planned
-    //    most-selective-first — plan and solutions from one snapshot,
-    //    so they can never diverge — answered from the cache on repeats.
+    // 4. The service's conjunctive (BGP) path: one `execute` entry
+    //    point, planned most-selective-first — plan and solutions from
+    //    one snapshot, so they can never diverge — answered from the
+    //    cache on repeats.
     let patterns = [
         tp(var("x"), iri("p0"), var("y")),
         tp(var("y"), iri("p1"), var("z")),
     ];
-    let planned = store.query_with_plan(&patterns);
+    let planned = store
+        .execute(&QueryRequest::new(&patterns, &QueryBudget::unlimited()))
+        .expect("an unlimited budget never fails");
     println!(
         "\nBGP plan (epoch {}): {}",
-        planned.epoch,
+        planned.read[0].1,
         planned
             .plan
             .iter()
