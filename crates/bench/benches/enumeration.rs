@@ -1,6 +1,6 @@
 //! E14 — enumeration and counting: output-sensitive behaviour on layered
 //! chain queries (solution count grows with fanout^depth) and counting on
-//! realistic OPT data.
+//! realistic OPT data and on a cyclic (triangle) core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdsparql_core::{count_by_domain, enumerate_with_stats, Query};
@@ -44,10 +44,16 @@ fn bench_counting_social(c: &mut Criterion) {
     group.sample_size(10);
     let q =
         Query::parse("{ ?x knows ?y OPTIONAL { ?y email ?e } OPTIONAL { ?y city ?c } }").unwrap();
+    // A cyclic core: `Auto` counts it through the leapfrog join.
+    let triangle =
+        Query::parse("((?x, knows, ?y) AND (?y, knows, ?z)) AND (?z, knows, ?x)").unwrap();
     for n in [30usize, 60, 120] {
         let g = social_network(n, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| count_by_domain(q.forest(), g).len())
+        });
+        group.bench_with_input(BenchmarkId::new("triangle", n), &g, |b, g| {
+            b.iter(|| count_by_domain(triangle.forest(), g).len())
         });
     }
     group.finish();

@@ -43,7 +43,7 @@
 
 use std::process::ExitCode;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
-use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Strategy};
+use wdsparql_core::{domain_histogram, enumerate_with_stats, Engine, Query, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
 use wdsparql_rdf::{parse_ntriples, ExecError, Mapping, QueryBudget};
 use wdsparql_store::{CacheStats, QueryRequest, QueryResponse};
@@ -130,7 +130,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let query = parse_query(args.get(2))?;
             let (sols, stats) = enumerate_with_stats(query.forest(), &graph);
             println!("{} solution(s)", sols.len());
-            for (domain, count) in count_by_domain(query.forest(), &graph) {
+            for (domain, count) in domain_histogram(&sols) {
                 let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
                 println!("  {{{}}}: {count}", names.join(", "));
             }

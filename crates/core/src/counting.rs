@@ -6,18 +6,28 @@
 //! Counting solutions of a wdPT is #·P-hard in general, so [`count_forest`]
 //! and friends go through enumeration; their value here is as ground
 //! truth and as the measurement harness for experiment E14 (enumeration
-//! delay on bounded- vs unbounded-width families).
+//! delay on bounded- vs unbounded-width families). They run the
+//! production enumeration of [`crate::enumerate`] — the routine behind
+//! [`crate::Engine::evaluate`], under the default `Auto` join strategy —
+//! not a second walk of their own, and its counters are the
+//! [`EnumStats`] reported here.
 
-use crate::enumerate::enumerate_forest;
+use crate::enumerate::{enumerate_counted, enumerate_forest, EnumStats};
 use std::collections::BTreeMap;
 use wdsparql_algebra::SolutionSet;
-use wdsparql_hom::all_homs_into_graph;
-use wdsparql_rdf::{Mapping, TripleIndex, Variable};
-use wdsparql_tree::{NodeId, Wdpf, Wdpt};
+use wdsparql_rdf::{QueryBudget, TripleIndex, Variable};
+use wdsparql_store::JoinStrategy;
+use wdsparql_tree::Wdpf;
 
 /// `|⟦F⟧_G|` (distinct mappings; trees of a forest may overlap).
 pub fn count_forest(f: &Wdpf, g: &dyn TripleIndex) -> usize {
     enumerate_forest(f, g).len()
+}
+
+/// Solution counts of `⟦F⟧_G` grouped by mapping domain (see
+/// [`domain_histogram`]).
+pub fn count_by_domain(f: &Wdpf, g: &dyn TripleIndex) -> BTreeMap<Vec<Variable>, usize> {
+    domain_histogram(&enumerate_forest(f, g))
 }
 
 /// Solution counts grouped by mapping domain. Distinct domains arise from
@@ -25,9 +35,9 @@ pub fn count_forest(f: &Wdpf, g: &dyn TripleIndex) -> usize {
 /// patterns actually fire on `G`. Keys are sorted by variable *name* so
 /// the histogram is stable across runs (variable ids depend on interning
 /// order).
-pub fn count_by_domain(f: &Wdpf, g: &dyn TripleIndex) -> BTreeMap<Vec<Variable>, usize> {
+pub fn domain_histogram(sols: &SolutionSet) -> BTreeMap<Vec<Variable>, usize> {
     let mut out: BTreeMap<Vec<Variable>, usize> = BTreeMap::new();
-    for mu in &enumerate_forest(f, g) {
+    for mu in sols {
         let mut key: Vec<Variable> = mu.domain().collect();
         key.sort_by_key(|v| v.name());
         *out.entry(key).or_insert(0) += 1;
@@ -35,122 +45,11 @@ pub fn count_by_domain(f: &Wdpf, g: &dyn TripleIndex) -> BTreeMap<Vec<Variable>,
     out
 }
 
-/// Work counters for one instrumented enumeration run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EnumStats {
-    /// Solutions emitted (before cross-tree deduplication).
-    pub emitted: usize,
-    /// Distinct solutions after deduplication.
-    pub solutions: usize,
-    /// Homomorphism-solver invocations.
-    pub hom_calls: usize,
-    /// Tree-node visits (the traversal's step counter).
-    pub steps: usize,
-    /// Largest number of steps between consecutive emission batches
-    /// (including the lead-in to the first batch and the tail after the
-    /// last) — the empirical *delay* of the enumeration. Solutions are
-    /// emitted once their root homomorphism's subtree has been fully
-    /// explored, so the delay measures the work per root-level candidate.
-    pub max_delay_steps: usize,
-}
-
-struct Walker<'a> {
-    g: &'a dyn TripleIndex,
-    stats: EnumStats,
-    last_emit_steps: usize,
-    out: SolutionSet,
-}
-
-impl<'a> Walker<'a> {
-    fn tick(&mut self) {
-        self.stats.steps += 1;
-    }
-
-    fn emit(&mut self, mu: Mapping) {
-        self.stats.emitted += 1;
-        let delay = self.stats.steps - self.last_emit_steps;
-        self.stats.max_delay_steps = self.stats.max_delay_steps.max(delay);
-        self.last_emit_steps = self.stats.steps;
-        self.out.insert(mu);
-    }
-
-    /// Mirrors `enumerate::solutions_below`, with counters.
-    fn solutions_below(&mut self, t: &Wdpt, n: NodeId, base: &Mapping) -> Vec<Mapping> {
-        self.tick();
-        self.stats.hom_calls += 1;
-        let mut out = Vec::new();
-        for nu in all_homs_into_graph(t.pat(n), self.g, base) {
-            let combined = base
-                .union(&nu)
-                .expect("solver extensions agree with their fixed bindings");
-            let mut partials = vec![combined.clone()];
-            for &c in t.children(n) {
-                let exts = self.solutions_below(t, c, &combined);
-                if exts.is_empty() {
-                    continue;
-                }
-                let mut next = Vec::with_capacity(partials.len() * exts.len());
-                for p in &partials {
-                    for e in &exts {
-                        next.push(
-                            p.union(e)
-                                .expect("sibling extensions share only branch variables"),
-                        );
-                    }
-                }
-                partials = next;
-            }
-            out.extend(partials);
-        }
-        out
-    }
-}
-
 /// Enumerates `⟦F⟧_G` while recording work counters, including the
 /// empirical per-solution delay.
 pub fn enumerate_with_stats(f: &Wdpf, g: &dyn TripleIndex) -> (SolutionSet, EnumStats) {
-    let mut w = Walker {
-        g,
-        stats: EnumStats::default(),
-        last_emit_steps: 0,
-        out: SolutionSet::new(),
-    };
-    for t in &f.trees {
-        // Mirror `solutions_below` at the root, but emit each root
-        // homomorphism's batch as soon as its subtree is explored — this
-        // is what makes `max_delay_steps` a per-candidate measure rather
-        // than the whole run.
-        w.tick();
-        w.stats.hom_calls += 1;
-        let empty = Mapping::new();
-        for nu in all_homs_into_graph(t.pat(t.root()), g, &empty) {
-            let mut partials = vec![nu.clone()];
-            for &c in t.children(t.root()) {
-                let exts = w.solutions_below(t, c, &nu);
-                if exts.is_empty() {
-                    continue;
-                }
-                let mut next = Vec::with_capacity(partials.len() * exts.len());
-                for p in &partials {
-                    for e in &exts {
-                        next.push(
-                            p.union(e)
-                                .expect("sibling extensions share only branch variables"),
-                        );
-                    }
-                }
-                partials = next;
-            }
-            for mu in partials {
-                w.emit(mu);
-            }
-        }
-    }
-    // Tail delay: steps after the last emission also count.
-    let tail = w.stats.steps - w.last_emit_steps;
-    w.stats.max_delay_steps = w.stats.max_delay_steps.max(tail);
-    w.stats.solutions = w.out.len();
-    (w.out, w.stats)
+    enumerate_counted(f, g, JoinStrategy::default(), &QueryBudget::unlimited())
+        .expect("an unlimited budget never fails a checkpoint")
 }
 
 #[cfg(test)]
@@ -220,6 +119,69 @@ mod tests {
             assert!(stats.emitted >= stats.solutions);
             assert!(stats.hom_calls >= 1);
             assert!(stats.steps >= f.trees.len());
+        }
+    }
+
+    /// The counters keep the meaning they had when counting walked the
+    /// tree with the hom solver alone: `hom_calls` and `steps` count node
+    /// visits, which do not depend on how a node's core is joined. The
+    /// pinned values are those of that earlier walk; every join strategy
+    /// must reproduce them.
+    #[test]
+    fn counters_are_pinned_across_join_strategies() {
+        let g = sample_graph();
+        // Four directed triangles, three of them extended by a q-edge.
+        let tri = RdfGraph::from_strs([
+            ("1", "r", "2"),
+            ("2", "r", "3"),
+            ("1", "r", "3"),
+            ("3", "r", "4"),
+            ("2", "r", "4"),
+            ("4", "r", "1"),
+            ("1", "r", "4"),
+            ("3", "q", "x"),
+            ("4", "q", "y"),
+            ("4", "q", "z"),
+        ]);
+        // (emitted, solutions, hom_calls, steps)
+        let cases = [
+            ("(?x, p, ?y)", &g, (3, 3, 1, 1)),
+            (
+                "((?x, p, ?y) OPT (?y, r, ?u)) UNION (?x, r, ?y)",
+                &g,
+                (5, 5, 5, 5),
+            ),
+            (
+                "(((?x, p, ?y) OPT (?z, q, ?x)) OPT ((?y, r, ?o1) AND (?o1, r, ?o2)))",
+                &g,
+                (3, 3, 7, 7),
+            ),
+            (
+                "(((?a, r, ?b) AND (?b, r, ?c)) AND (?a, r, ?c)) OPT (?c, q, ?w)",
+                &tri,
+                (7, 7, 5, 5),
+            ),
+        ];
+        for (text, g, want) in cases {
+            let f = forest(text);
+            let (_, s) = enumerate_with_stats(&f, g);
+            assert_eq!(
+                (s.emitted, s.solutions, s.hom_calls, s.steps),
+                want,
+                "{text}"
+            );
+            for strategy in [
+                JoinStrategy::Pairwise,
+                JoinStrategy::Wco,
+                JoinStrategy::Auto,
+            ] {
+                let (_, s) = enumerate_counted(&f, g, strategy, &QueryBudget::unlimited()).unwrap();
+                assert_eq!(
+                    (s.emitted, s.solutions, s.hom_calls, s.steps),
+                    want,
+                    "{strategy} on {text}"
+                );
+            }
         }
     }
 

@@ -1,4 +1,6 @@
-//! Full solution enumeration `⟦T⟧_G` / `⟦F⟧_G` over pattern trees.
+//! Full solution enumeration `⟦T⟧_G` / `⟦F⟧_G` over pattern trees — the
+//! one enumeration routine behind [`crate::Engine::evaluate`], counting
+//! and the instrumented run.
 //!
 //! Works top-down from the root: for a homomorphism of the current node
 //! (compatible with the bindings accumulated on its branch), each child
@@ -7,29 +9,42 @@
 //! extensions (it *must* extend). Sibling subtrees share no private
 //! variables (condition (3) of wdPTs), so their extensions combine by
 //! cartesian product.
+//!
+//! The work counters of [`EnumStats`] are plain increments and always
+//! on, so an instrumented run is the production run.
 
+use std::collections::BTreeSet;
 use wdsparql_algebra::SolutionSet;
 use wdsparql_hom::{all_homs_into_graph, TGraph};
-use wdsparql_rdf::{ExecError, Mapping, QueryBudget, SolutionStream, TripleIndex, TriplePattern};
-use wdsparql_store::{bgp_is_cyclic, JoinStrategy, WcoStream};
+use wdsparql_rdf::{
+    ExecError, Mapping, QueryBudget, SolutionStream, TripleIndex, TriplePattern, Variable,
+};
+use wdsparql_store::{hypergraph_is_cyclic, JoinStrategy, WcoStream};
 use wdsparql_tree::{NodeId, Wdpf, Wdpt};
 
-/// Enumerates `⟦T⟧_G` (pairwise node joins — the hom solver's
-/// fail-first search).
-pub fn enumerate_tree(t: &Wdpt, g: &dyn TripleIndex) -> SolutionSet {
-    enumerate_tree_with(t, g, JoinStrategy::Pairwise)
+/// Work counters for one enumeration run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EnumStats {
+    /// Solutions emitted (before cross-tree deduplication).
+    pub emitted: usize,
+    /// Distinct solutions after deduplication.
+    pub solutions: usize,
+    /// Node-core joins (hom solver or leapfrog), one per node visit.
+    pub hom_calls: usize,
+    /// Tree-node visits (the traversal's step counter).
+    pub steps: usize,
+    /// Largest number of steps between consecutive emission batches
+    /// (including the lead-in to the first batch and the tail after the
+    /// last) — the empirical *delay* of the enumeration. Solutions are
+    /// emitted once their root homomorphism's subtree has been fully
+    /// explored, so the delay measures the work per root-level candidate.
+    pub max_delay_steps: usize,
 }
 
-/// Enumerates `⟦F⟧_G = ⋃_i ⟦T_i⟧_G` (pairwise node joins).
+/// Enumerates `⟦F⟧_G = ⋃_i ⟦T_i⟧_G` under the default [`JoinStrategy`]
+/// (`Auto`, as [`crate::Engine`] uses).
 pub fn enumerate_forest(f: &Wdpf, g: &dyn TripleIndex) -> SolutionSet {
-    enumerate_forest_with(f, g, JoinStrategy::Pairwise)
-}
-
-/// As [`enumerate_tree`], with a [`JoinStrategy`] for the per-node query
-/// cores (see [`enumerate_forest_with`]).
-pub fn enumerate_tree_with(t: &Wdpt, g: &dyn TripleIndex, strategy: JoinStrategy) -> SolutionSet {
-    enumerate_tree_budgeted(t, g, strategy, &QueryBudget::unlimited())
-        .expect("an unlimited budget never fails a checkpoint")
+    enumerate_forest_with(f, g, JoinStrategy::default())
 }
 
 /// As [`enumerate_forest`], with a [`JoinStrategy`] knob for the
@@ -44,114 +59,158 @@ pub fn enumerate_forest_with(f: &Wdpf, g: &dyn TripleIndex, strategy: JoinStrate
         .expect("an unlimited budget never fails a checkpoint")
 }
 
-/// As [`enumerate_tree_with`], under a [`QueryBudget`]: enumeration
+/// As [`enumerate_forest_with`], under a [`QueryBudget`]: enumeration
 /// checkpoints once per node-extension step (and the leapfrog join
 /// checkpoints inside its seek loops), so a deadline or cancellation
 /// surfaces as a typed [`ExecError`] instead of running to completion.
-pub fn enumerate_tree_budgeted(
-    t: &Wdpt,
-    g: &dyn TripleIndex,
-    strategy: JoinStrategy,
-    budget: &QueryBudget,
-) -> Result<SolutionSet, ExecError> {
-    Ok(
-        solutions_below(t, g, t.root(), &Mapping::new(), strategy, budget)?
-            .into_iter()
-            .collect(),
-    )
-}
-
-/// As [`enumerate_forest_with`], under a [`QueryBudget`] (see
-/// [`enumerate_tree_budgeted`]).
 pub fn enumerate_forest_budgeted(
     f: &Wdpf,
     g: &dyn TripleIndex,
     strategy: JoinStrategy,
     budget: &QueryBudget,
 ) -> Result<SolutionSet, ExecError> {
-    let mut out = SolutionSet::new();
+    Ok(enumerate_counted(f, g, strategy, budget)?.0)
+}
+
+/// Enumerates `⟦F⟧_G` together with the run's work counters.
+pub(crate) fn enumerate_counted(
+    f: &Wdpf,
+    g: &dyn TripleIndex,
+    strategy: JoinStrategy,
+    budget: &QueryBudget,
+) -> Result<(SolutionSet, EnumStats), ExecError> {
+    let mut run = Run {
+        g,
+        budget,
+        stats: EnumStats::default(),
+        last_emit_steps: 0,
+        out: SolutionSet::new(),
+    };
     for t in &f.trees {
-        out.extend(enumerate_tree_budgeted(t, g, strategy, budget)?);
+        let wco = routes(t, strategy);
+        run.solutions_below(t, &wco, t.root(), &Mapping::new())?;
     }
-    Ok(out)
+    // Tail delay: steps after the last emission also count.
+    let tail = run.stats.steps - run.last_emit_steps;
+    run.stats.max_delay_steps = run.stats.max_delay_steps.max(tail);
+    run.stats.solutions = run.out.len();
+    Ok((run.out, run.stats))
 }
 
-/// The homomorphisms of one node's pattern set extending `base`, routed
-/// by `strategy`: the hom solver (pairwise), or the WCOJ on the bound
-/// core. Both return the full mapping on `vars(pat)` — the WCOJ path
-/// joins the unbound variables and re-attaches the fixed ones.
+/// Each node's join route in `t`, indexed by [`NodeId`]: `true` for the
+/// leapfrog join on the bound core, `false` for the hom solver.
 ///
-/// `Auto` here routes on cyclicity of the bound shape *alone* — a pure
-/// structural check (no index probes), because this runs once per
-/// branch extension: the service planner's pairwise blow-up estimate
-/// would re-walk candidate counts for every base mapping to guard a
-/// case the fail-first hom search already handles well.
-fn node_homs(
-    pat: &TGraph,
-    g: &dyn TripleIndex,
-    base: &Mapping,
-    strategy: JoinStrategy,
-    budget: &QueryBudget,
-) -> Result<Vec<Mapping>, ExecError> {
-    if strategy != JoinStrategy::Pairwise {
-        let bound: Vec<TriplePattern> = pat.iter().map(|t| t.apply_partial(base)).collect();
-        if strategy == JoinStrategy::Wco || bgp_is_cyclic(&bound) {
-            let fixed = base.restrict(pat.vars());
-            return WcoStream::new(g, &bound, budget, false)
-                .collect_limit(None)?
-                .into_iter()
-                .map(|mu| {
-                    Ok(mu
-                        .union(&fixed)
-                        .expect("bound patterns cannot rebind fixed variables"))
-                })
-                .collect();
-        }
-    }
-    Ok(all_homs_into_graph(pat, g, base))
+/// Every homomorphism binds all of its node's variables, so the
+/// variables already bound when node `n` is reached are exactly those
+/// of `n`'s ancestors, and whether `n`'s bound core is cyclic is a fixed
+/// fact of the tree — decided here once, not once per branch extension.
+/// `Auto` routes on that cyclicity alone, a structural check with no
+/// index probes: the service planner's pairwise blow-up estimate would
+/// guard a case the fail-first hom search already handles well.
+fn routes(t: &Wdpt, strategy: JoinStrategy) -> Vec<bool> {
+    t.node_ids()
+        .map(|n| match strategy {
+            JoinStrategy::Pairwise => false,
+            JoinStrategy::Wco => true,
+            JoinStrategy::Auto => {
+                let bound: BTreeSet<Variable> =
+                    t.branch(n).into_iter().flat_map(|m| t.vars(m)).collect();
+                hypergraph_is_cyclic(t.pat(n).iter().map(|p| &p.vars() - &bound))
+            }
+        })
+        .collect()
 }
 
-/// All maximal solutions of the subtree rooted at `n`, each including the
-/// bindings of `base` (the mapping accumulated along the branch) plus the
-/// bindings of `n`'s own pattern and of every extendable descendant.
-fn solutions_below(
-    t: &Wdpt,
-    g: &dyn TripleIndex,
-    n: NodeId,
-    base: &Mapping,
-    strategy: JoinStrategy,
-    budget: &QueryBudget,
-) -> Result<Vec<Mapping>, ExecError> {
-    // One checkpoint per branch extension: product blow-up happens one
-    // node-extension at a time, so this bounds the work between checks.
-    budget.check()?;
-    let mut out = Vec::new();
-    for nu in node_homs(t.pat(n), g, base, strategy, budget)? {
-        let combined = base
-            .union(&nu)
-            .expect("solver extensions agree with their fixed bindings");
-        // Children combine by product; a child with no extension is absent.
-        let mut partials = vec![combined.clone()];
-        for &c in t.children(n) {
-            let exts = solutions_below(t, g, c, &combined, strategy, budget)?;
-            if exts.is_empty() {
-                continue;
-            }
-            let mut next = Vec::with_capacity(partials.len() * exts.len());
-            for p in &partials {
-                budget.check()?;
-                for e in &exts {
-                    let u = p
-                        .union(e)
-                        .expect("sibling extensions share only branch variables");
-                    next.push(u);
-                }
-            }
-            partials = next;
-        }
-        out.extend(partials);
+/// One enumeration run: the graph, the budget, the counters and the
+/// distinct solutions emitted so far.
+struct Run<'a> {
+    g: &'a dyn TripleIndex,
+    budget: &'a QueryBudget,
+    stats: EnumStats,
+    last_emit_steps: usize,
+    out: SolutionSet,
+}
+
+impl Run<'_> {
+    /// Emits one root homomorphism's batch of solutions.
+    fn emit(&mut self, batch: Vec<Mapping>) {
+        self.stats.emitted += batch.len();
+        let delay = self.stats.steps - self.last_emit_steps;
+        self.stats.max_delay_steps = self.stats.max_delay_steps.max(delay);
+        self.last_emit_steps = self.stats.steps;
+        self.out.extend(batch);
     }
-    Ok(out)
+
+    /// The homomorphisms of one node's pattern set extending `base`, by
+    /// the node's route: the hom solver, or the leapfrog join on the
+    /// bound core. Each binds at least the variables of `pat` outside
+    /// `dom(base)` and agrees with `base`.
+    fn node_homs(
+        &self,
+        pat: &TGraph,
+        wco: bool,
+        base: &Mapping,
+    ) -> Result<Vec<Mapping>, ExecError> {
+        if !wco {
+            return Ok(all_homs_into_graph(pat, self.g, base));
+        }
+        let bound: Vec<TriplePattern> = pat.iter().map(|t| t.apply_partial(base)).collect();
+        WcoStream::new(self.g, &bound, self.budget, false).collect_limit(None)
+    }
+
+    /// All maximal solutions of the subtree rooted at `n`, each including
+    /// the bindings of `base` (the mapping accumulated along the branch)
+    /// plus the bindings of `n`'s own pattern and of every extendable
+    /// descendant. At the root each homomorphism's batch is emitted as
+    /// soon as its subtree is explored — which makes `max_delay_steps` a
+    /// per-candidate measure rather than the whole run — and nothing is
+    /// returned.
+    fn solutions_below(
+        &mut self,
+        t: &Wdpt,
+        wco: &[bool],
+        n: NodeId,
+        base: &Mapping,
+    ) -> Result<Vec<Mapping>, ExecError> {
+        // One checkpoint per branch extension: product blow-up happens
+        // one node-extension at a time, so this bounds the work between
+        // checks.
+        self.budget.check()?;
+        self.stats.steps += 1;
+        self.stats.hom_calls += 1;
+        let mut out = Vec::new();
+        for nu in self.node_homs(t.pat(n), wco[n.0], base)? {
+            let combined = base
+                .union(&nu)
+                .expect("node homomorphisms agree with their fixed bindings");
+            // Children combine by product; a child with no extension is
+            // absent.
+            let mut partials = vec![combined.clone()];
+            for &c in t.children(n) {
+                let exts = self.solutions_below(t, wco, c, &combined)?;
+                if exts.is_empty() {
+                    continue;
+                }
+                let mut next = Vec::with_capacity(partials.len() * exts.len());
+                for p in &partials {
+                    self.budget.check()?;
+                    for e in &exts {
+                        let u = p
+                            .union(e)
+                            .expect("sibling extensions share only branch variables");
+                        next.push(u);
+                    }
+                }
+                partials = next;
+            }
+            if n == t.root() {
+                self.emit(partials);
+            } else {
+                out.extend(partials);
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +341,74 @@ mod tests {
                 ),
                 Err(ExecError::Cancelled),
                 "{strategy}: a tripped token must fail typed"
+            );
+        }
+    }
+
+    /// Routes are decided once per node from its ancestors' variables.
+    /// A triangle OPT child that shares a variable with the root has an
+    /// acyclic bound core and stays on the hom solver; one that shares
+    /// none is cyclic and takes the leapfrog join. Every strategy
+    /// enumerates the reference semantics on that tree.
+    #[test]
+    fn routes_are_decided_per_node() {
+        let g = RdfGraph::from_strs([
+            ("a", "p", "1"),
+            ("e", "p", "5"),
+            ("1", "r", "2"),
+            ("2", "r", "3"),
+            ("3", "r", "1"),
+            ("5", "r", "6"),
+            ("6", "r", "5"),
+            ("u", "s", "v"),
+            ("v", "s", "w"),
+            ("w", "s", "u"),
+        ]);
+        let p = parse_pattern(
+            "((?x, p, ?y) OPT (((?y, r, ?b) AND (?b, r, ?c)) AND (?c, r, ?y))) \
+             OPT (((?u, s, ?v) AND (?v, s, ?w)) AND (?w, s, ?u))",
+        )
+        .unwrap();
+        let f = Wdpf::from_pattern(&p).unwrap();
+        let t = &f.trees[0];
+        assert_eq!(t.len(), 3);
+        let route = |strategy| {
+            let r = routes(t, strategy);
+            // Name routes by the node's pattern, whatever order the
+            // translation numbered the children in.
+            let mut by_child: Vec<(bool, bool)> = t
+                .children(t.root())
+                .iter()
+                .map(|&c| (t.vars(c).contains(&Variable::new("y")), r[c.0]))
+                .collect();
+            by_child.sort();
+            (r[t.root().0], by_child)
+        };
+        assert_eq!(
+            route(JoinStrategy::Auto),
+            (false, vec![(false, true), (true, false)])
+        );
+        assert_eq!(
+            route(JoinStrategy::Pairwise),
+            (false, vec![(false, false), (true, false)])
+        );
+        assert_eq!(
+            route(JoinStrategy::Wco),
+            (true, vec![(false, true), (true, true)])
+        );
+        let want = eval(&p, &g);
+        // (a, 1) extends by the r-triangle, (e, 5) does not; both by the
+        // three rotations of the s-triangle.
+        assert_eq!(want.len(), 6);
+        for strategy in [
+            JoinStrategy::Pairwise,
+            JoinStrategy::Wco,
+            JoinStrategy::Auto,
+        ] {
+            assert_eq!(
+                enumerate_forest_with(&f, &g, strategy),
+                want,
+                "{strategy} diverges"
             );
         }
     }

@@ -10,9 +10,10 @@
 //! * [`pebble_eval`] — the **Theorem 1** polynomial-time algorithm for
 //!   classes of bounded domination width (homomorphism tests replaced by
 //!   the existential (k+1)-pebble game);
-//! * [`enumerate`] — full solution enumeration `⟦F⟧_G`;
+//! * [`enumerate`] — full solution enumeration `⟦F⟧_G`, the one routine
+//!   behind evaluation, counting and the instrumented run;
 //! * [`counting`] — solution counting and instrumented enumeration with
-//!   delay measurement (the §5 variants);
+//!   delay measurement (the §5 variants), on that routine;
 //! * [`explain`] — membership certificates (Lemma 1 witnesses and
 //!   counterexamples);
 //! * [`engine`] — the public [`Query`]/[`Engine`] API with strategy
@@ -28,11 +29,10 @@ pub mod lemma1;
 pub mod naive;
 pub mod pebble_eval;
 
-pub use counting::{count_by_domain, count_forest, enumerate_with_stats, EnumStats};
+pub use counting::{count_by_domain, count_forest, domain_histogram, enumerate_with_stats};
 pub use engine::{Engine, Query, QueryError, Strategy, WidthReport};
 pub use enumerate::{
-    enumerate_forest, enumerate_forest_budgeted, enumerate_forest_with, enumerate_tree,
-    enumerate_tree_budgeted, enumerate_tree_with,
+    enumerate_forest, enumerate_forest_budgeted, enumerate_forest_with, EnumStats,
 };
 pub use explain::{explain_forest, explain_tree, Explanation, TreeRejection};
 pub use lemma1::{child_extends, mu_subtree};

@@ -96,6 +96,6 @@ pub use service::{
 };
 pub use shard::{ShardedSnapshot, ShardedStats, ShardedStore};
 pub use wcoj::{
-    bgp_is_cyclic, eval_bgp_with_strategy, resolve_strategy, wco_variable_order, JoinStrategy,
-    WcoLevelStats, WcoStream,
+    bgp_is_cyclic, eval_bgp_with_strategy, hypergraph_is_cyclic, resolve_strategy,
+    wco_variable_order, JoinStrategy, WcoLevelStats, WcoStream,
 };

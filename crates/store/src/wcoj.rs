@@ -114,11 +114,16 @@ impl fmt::Display for JoinStrategy {
 /// `(?x p ?y1)(?x p ?y2)(?x p ?y3)` reduces (each `?yi` is private) even
 /// though its patterns pairwise share `?x`.
 pub fn bgp_is_cyclic(patterns: &[TriplePattern]) -> bool {
-    let mut edges: Vec<BTreeSet<Variable>> = patterns
-        .iter()
-        .map(|p| p.vars())
-        .filter(|vs| !vs.is_empty())
-        .collect();
+    hypergraph_is_cyclic(patterns.iter().map(|p| p.vars()))
+}
+
+/// The GYO reduction behind [`bgp_is_cyclic`], on any hyperedges over
+/// variables — e.g. a BGP's patterns minus the variables a caller has
+/// already bound, which decides whether the bound core is cyclic
+/// without substituting values.
+pub fn hypergraph_is_cyclic(edges: impl IntoIterator<Item = BTreeSet<Variable>>) -> bool {
+    let mut edges: Vec<BTreeSet<Variable>> =
+        edges.into_iter().filter(|vs| !vs.is_empty()).collect();
     // analyzer-allow: budget-checkpoint planning-time GYO reduction,
     // bounded by the query size (each round removes a variable or an
     // edge) — never data-dependent.

@@ -34,7 +34,7 @@ fn main() {
     let (sols, stats) = enumerate_with_stats(q.forest(), &g);
     assert_eq!(sols.len(), total);
     println!(
-        "\nEnumeration: {} emitted / {} distinct, {} hom-solver calls, \
+        "\nEnumeration: {} emitted / {} distinct, {} node-core joins, \
          {} steps, max delay {} steps",
         stats.emitted, stats.solutions, stats.hom_calls, stats.steps, stats.max_delay_steps
     );
